@@ -11,6 +11,7 @@ from .errors import EmptyWindow, GridMismatch, InvalidSettings, RankDeficient
 from .funcspace import (
     Grid,
     GridFunction,
+    covariance_values,
     improves,
     kernel_eval,
     l2_distances_to,
@@ -30,29 +31,29 @@ class FnwModel:
     __slots__ = ("grid", "values", "responses", "bandwidth")
 
     def __init__(self, curves, responses, bandwidth: float):
-        if not bandwidth > 0:
-            raise InvalidSettings("bandwidth must be positive")
-        values = curves if isinstance(curves, np.ndarray) else stack_values(curves)
-        responses = np.asarray(responses, dtype=float)
-        if responses.shape != (values.shape[0],):
-            raise InvalidSettings("one response per curve required")
         if isinstance(curves, np.ndarray):
             raise InvalidSettings("pass a list of grid functions; use from_values")
-        self.grid = curves[0].grid
-        self.values = values
-        self.responses = responses
-        self.bandwidth = float(bandwidth)
+        values = stack_values(curves)
+        self._init_from(curves[0].grid, values, responses, bandwidth)
 
     @classmethod
     def from_values(cls, grid: Grid, values: np.ndarray, responses, bandwidth: float):
         self = object.__new__(cls)
+        self._init_from(grid, np.asarray(values, dtype=float), responses, bandwidth)
+        return self
+
+    def _init_from(self, grid, values, responses, bandwidth):
         if not bandwidth > 0:
             raise InvalidSettings("bandwidth must be positive")
+        responses = np.asarray(responses, dtype=float)
+        if values.ndim != 2 or values.shape[1] != len(grid):
+            raise InvalidSettings("curve values must be an (n, G) matrix on the grid")
+        if responses.shape != (values.shape[0],):
+            raise InvalidSettings("one response per curve required")
         self.grid = grid
-        self.values = np.asarray(values, dtype=float)
-        self.responses = np.asarray(responses, dtype=float)
+        self.values = values
+        self.responses = responses
         self.bandwidth = float(bandwidth)
-        return self
 
 
 def _fnw_predict_values(model: FnwModel, x_values: np.ndarray) -> float:
@@ -154,9 +155,7 @@ class FlrModel:
 
 
 def _fpca(values: np.ndarray, quad_weights: np.ndarray, p: int):
-    mean = values.mean(axis=0)
-    centered = values - mean
-    cov = centered.T @ centered / values.shape[0]
+    mean, cov = covariance_values(values)
     evals, basis = weighted_eigh(cov, quad_weights, p)
     rank = int(np.sum(evals > 1e-12 * max(evals[0], 0.0)))
     return mean, basis, rank

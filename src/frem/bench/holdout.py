@@ -1,32 +1,24 @@
 """Repeated random-holdout evaluation on real datasets.
 
 Curves are taken as fully observed on the dataset grid (no recovery step);
-each repeat draws a seeded random 75/25 partition, fits the requested
-methods on the training part, and scores rMSE against the observed responses
-on the held-out part. Model-size diagnostics (estimated dimension for the
-tangent method, component count for the linear baseline) are recorded per
-repeat.
+each repeat draws a seeded random 75/25 partition and runs the requested
+methods through the same pipelines as the simulation study
+(``simulate.score_method``), scoring rMSE against the observed responses on
+the held-out part. Model sizes (estimated dimension for frem, component count
+for flr) are recorded per repeat, and a method failing on more than 10
+percent of the repeats fails the run, as in ``simulate``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..baselines import flr_fit_values, fnw_fit_values
-from ..errors import FremError, InvalidSettings, TooManyFailures
-from ..estimator import (
-    FremModel,
-    _local_fit_values,
-    grids_from_values,
-    select_bandwidths_values,
-)
-from ..funcspace import kernel_eval, pairwise_l2
-from ..intrinsic_dim import DimSettings, estimate_dim_values
+from ..errors import InvalidSettings
+from ..funcspace import pairwise_l2
 from .config import TuningConfig, mix_seed
 from .datasets import Dataset
-from .report import EvalReport, MethodResult
-
-_CV_FREM, _CV_FNW, _CV_FLR = 5, 6, 7
+from .report import EvalReport
+from .simulate import collect_results, score_method
 
 
 def holdout_eval(dataset: Dataset, split: float = 0.75, repeats: int = 20,
@@ -45,9 +37,7 @@ def holdout_eval(dataset: Dataset, split: float = 0.75, repeats: int = 20,
     n_train = int(round(split * n))
     n_train = min(max(n_train, 1), n - 1)
 
-    results = {m: {"rmse": np.full(repeats, np.nan),
-                   "size": np.full(repeats, np.nan),
-                   "errors": []} for m in methods}
+    rep_results = []
     for r in range(repeats):
         rep_seed = mix_seed(master_seed, r)
         rng = np.random.default_rng(rep_seed)
@@ -56,31 +46,12 @@ def holdout_eval(dataset: Dataset, split: float = 0.75, repeats: int = 20,
         x_tr, y_tr = dataset.values[tr], dataset.responses[tr]
         x_te, y_te = dataset.values[te], dataset.responses[te]
         dists_te = pairwise_l2(x_te, x_tr, w)
-        for method in methods:
-            try:
-                preds, size = _fit_predict(
-                    method, grid, x_tr, y_tr, x_te, dists_te, rep_seed, tuning
-                )
-                results[method]["rmse"][r] = float(np.sqrt(np.mean((preds - y_te) ** 2)))
-                results[method]["size"][r] = size
-            except FremError as exc:
-                results[method]["errors"].append((r, f"{type(exc).__name__}: {exc}"))
-
-    method_results = {}
-    for method in methods:
-        res = results[method]
-        method_results[method] = MethodResult(
-            method=method,
-            rmse=res["rmse"],
-            rmse_noisy=res["rmse"].copy(),   # observed responses are the only target
-            model_size=res["size"],
-            errors=res["errors"],
-        )
-        if len(res["errors"]) > 0.1 * repeats:
-            raise TooManyFailures(
-                f"method {method} failed on {len(res['errors'])}/{repeats} repeats; "
-                f"first failure: {res['errors'][0][1]}"
-            )
+        # observed responses are the only target, so rmse and rmse_noisy agree
+        rep_results.append({
+            method: score_method(method, tuning, grid, x_tr, y_tr, x_te, dists_te,
+                                 rep_seed, y_te, y_te)
+            for method in methods
+        })
     return EvalReport(
         label=dataset.name or "dataset",
         n=n,
@@ -88,43 +59,6 @@ def holdout_eval(dataset: Dataset, split: float = 0.75, repeats: int = 20,
         master_seed=master_seed,
         config={"split": split, "repeats": repeats, "methods": list(methods),
                 "dataset": dataset.name, "n": n},
-        results=method_results,
+        results=collect_results(methods, rep_results),
     )
 
-
-def _fit_predict(method, grid, x_tr, y_tr, x_te, dists_te, rep_seed, tuning):
-    w = grid.quad_weights
-    if method == "frem":
-        dim = estimate_dim_values(x_tr, w, DimSettings(k1=tuning.k1, k2=tuning.k2))
-        hp, hr = grids_from_values(x_tr, w, tuning.n_bandwidth_candidates)
-        h_pca, h_reg = select_bandwidths_values(
-            grid, x_tr, y_tr, dim, hp, hr, n_folds=5,
-            seed=mix_seed(rep_seed, _CV_FREM),
-        )
-        model = FremModel.from_values(grid, x_tr, y_tr, dim, h_pca, h_reg)
-        preds = np.array([
-            _local_fit_values(model, x_te[j], dists=dists_te[j])[0]
-            for j in range(x_te.shape[0])
-        ])
-        return preds, float(dim.raw)
-    if method == "fnw":
-        model = fnw_fit_values(
-            grid, x_tr, y_tr,
-            grids_from_values(x_tr, w, tuning.n_bandwidth_candidates)[0],
-            n_folds=10, seed=mix_seed(rep_seed, _CV_FNW),
-        )
-        kmat = kernel_eval(dists_te / model.bandwidth)
-        totals = kmat.sum(axis=1)
-        if np.any(totals <= 0):
-            from ..errors import EmptyWindow
-            raise EmptyWindow("a held-out curve has no training curve in its window")
-        return (kmat @ y_tr) / totals, float("nan")
-    if method == "flr":
-        p_hi = min(tuning.flr_p_max, x_tr.shape[0] - 2)
-        model = flr_fit_values(
-            grid, x_tr, y_tr, range(0, p_hi + 1),
-            n_folds=10, seed=mix_seed(rep_seed, _CV_FLR),
-        )
-        scores = ((x_te - model.mean_values) * w) @ model.basis_values.T
-        return model.intercept + scores @ model.slopes, float(model.p)
-    raise FremError(f"unknown method {method!r}")

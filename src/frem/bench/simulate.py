@@ -18,7 +18,7 @@ import numpy as np
 
 from .. import datagen, recovery
 from ..baselines import flr_fit_values, fnw_fit_values
-from ..errors import FremError, TooManyFailures
+from ..errors import EmptyWindow, FremError, TooManyFailures
 from ..estimator import (
     FremModel,
     _local_fit_values,
@@ -38,7 +38,6 @@ _GENERATORS = {
     "so3": datagen.gen_so3,
     "klein": datagen.gen_klein,
     "mixg": datagen.gen_mixg,
-    "circle": datagen.gen_circle_example,
 }
 
 
@@ -101,65 +100,95 @@ def run_replicate(config: SimulationConfig, rep: int) -> dict:
     xhat_test = recovery.smooth_all(obs_test, grid)
     dists_test = pairwise_l2(xhat_test, xhat_train, w)
 
-    out = {}
-    for method in config.methods:
-        try:
-            preds, size = _run_method(
-                method, config, grid, xhat_train, y_train, xhat_test, dists_test, rep_seed
-            )
-            out[method] = {
-                "rmse": float(np.sqrt(np.mean((preds - signal_test) ** 2))),
-                "rmse_noisy": float(np.sqrt(np.mean((preds - y_test) ** 2))),
-                "model_size": size,
-            }
-        except FremError as exc:
-            out[method] = {"error": f"{type(exc).__name__}: {exc}"}
-    return out
+    return {method: score_method(method, config.tuning, grid, xhat_train, y_train,
+                                 xhat_test, dists_test, rep_seed, signal_test, y_test)
+            for method in config.methods}
 
 
-def _run_method(method, config, grid, xhat_train, y_train, xhat_test, dists_test, rep_seed):
+def score_method(method, tuning, grid, x_tr, y_tr, x_te, dists_te, rep_seed,
+                 truth, y_te) -> dict:
+    """One method's rMSE against the truth and the noisy responses, or its error."""
+    try:
+        preds, size = _run_method(method, tuning, grid, x_tr, y_tr, x_te, dists_te, rep_seed)
+    except FremError as exc:
+        return {"error": f"{type(exc).__name__}: {exc}"}
+    return {
+        "rmse": float(np.sqrt(np.mean((preds - truth) ** 2))),
+        "rmse_noisy": float(np.sqrt(np.mean((preds - y_te) ** 2))),
+        "model_size": size,
+    }
+
+
+def _run_method(method, tuning, grid, x_tr, y_tr, x_te, dists_te, rep_seed):
+    """Fit one method on the training curves and predict every test curve.
+
+    Returns the predictions and the model size (estimated dimension for frem,
+    component count for flr, NaN for fnw).
+    """
     w = grid.quad_weights
-    tuning = config.tuning
     if method == "frem":
-        dim = estimate_dim_values(
-            xhat_train, w, DimSettings(k1=tuning.k1, k2=tuning.k2)
-        )
-        hp_cands, hr_cands = grids_from_values(
-            xhat_train, w, tuning.n_bandwidth_candidates
-        )
+        dim = estimate_dim_values(x_tr, w, DimSettings(k1=tuning.k1, k2=tuning.k2))
+        hp_cands, hr_cands = grids_from_values(x_tr, w, tuning.n_bandwidth_candidates)
         h_pca, h_reg = select_bandwidths_values(
-            grid, xhat_train, y_train, dim, hp_cands, hr_cands,
+            grid, x_tr, y_tr, dim, hp_cands, hr_cands,
             n_folds=5, seed=mix_seed(rep_seed, _CV_FREM),
         )
-        model = FremModel.from_values(grid, xhat_train, y_train, dim, h_pca, h_reg)
+        model = FremModel.from_values(grid, x_tr, y_tr, dim, h_pca, h_reg)
         preds = np.array([
-            _local_fit_values(model, xhat_test[j], dists=dists_test[j])[0]
-            for j in range(xhat_test.shape[0])
+            _local_fit_values(model, x_te[j], dists=dists_te[j])[0]
+            for j in range(x_te.shape[0])
         ])
         return preds, float(dim.raw)
     if method == "fnw":
         model = fnw_fit_values(
-            grid, xhat_train, y_train,
-            grids_from_values(xhat_train, w, tuning.n_bandwidth_candidates)[0],
+            grid, x_tr, y_tr,
+            grids_from_values(x_tr, w, tuning.n_bandwidth_candidates)[0],
             n_folds=10, seed=mix_seed(rep_seed, _CV_FNW),
         )
-        kmat = kernel_eval(dists_test / model.bandwidth)
+        kmat = kernel_eval(dists_te / model.bandwidth)
         totals = kmat.sum(axis=1)
         if np.any(totals <= 0):
-            from ..errors import EmptyWindow
             raise EmptyWindow("a test point has no training curve in its window")
-        preds = (kmat @ y_train) / totals
-        return preds, float("nan")
+        return (kmat @ y_tr) / totals, float("nan")
     if method == "flr":
-        p_hi = min(tuning.flr_p_max, xhat_train.shape[0] - 2)
+        p_hi = min(tuning.flr_p_max, x_tr.shape[0] - 2)
         model = flr_fit_values(
-            grid, xhat_train, y_train, range(0, p_hi + 1),
+            grid, x_tr, y_tr, range(0, p_hi + 1),
             n_folds=10, seed=mix_seed(rep_seed, _CV_FLR),
         )
-        scores = ((xhat_test - model.mean_values) * w) @ model.basis_values.T
-        preds = model.intercept + scores @ model.slopes
-        return preds, float(model.p)
+        scores = ((x_te - model.mean_values) * w) @ model.basis_values.T
+        return model.intercept + scores @ model.slopes, float(model.p)
     raise FremError(f"unknown method {method!r}")
+
+
+def collect_results(methods, rep_results) -> dict:
+    """Per-method result arrays from per-replicate cells, in replicate order.
+
+    Raises TooManyFailures if any method failed on more than 10 percent of
+    the replicates.
+    """
+    reps = len(rep_results)
+    results = {}
+    for method in methods:
+        rmse = np.full(reps, np.nan)
+        rmse_noisy = np.full(reps, np.nan)
+        size = np.full(reps, np.nan)
+        errors = []
+        for r, res in enumerate(rep_results):
+            cell = res[method]
+            if "error" in cell:
+                errors.append((r, cell["error"]))
+            else:
+                rmse[r] = cell["rmse"]
+                rmse_noisy[r] = cell["rmse_noisy"]
+                size[r] = cell["model_size"]
+        results[method] = MethodResult(method, rmse, rmse_noisy, size, errors)
+        if len(errors) > 0.1 * reps:
+            raise TooManyFailures(
+                f"method {method} failed on {len(errors)}/{reps} replicates; "
+                f"first failure: {errors[0][1]}"
+            )
+    return results
 
 
 def run_simulation(config: SimulationConfig, workers: int | None = None) -> EvalReport:
@@ -184,33 +213,13 @@ def run_simulation(config: SimulationConfig, workers: int | None = None) -> Eval
                 print(f"[frem] {config.setting} n={config.n} replicate {r + 1}/{reps} "
                       f"({time.time() - t0:.1f}s)", file=sys.stderr, flush=True)
 
-    results = {}
-    for method in config.methods:
-        rmse = np.full(reps, np.nan)
-        rmse_noisy = np.full(reps, np.nan)
-        size = np.full(reps, np.nan)
-        errors = []
-        for r, res in enumerate(rep_results):
-            cell = res[method]
-            if "error" in cell:
-                errors.append((r, cell["error"]))
-            else:
-                rmse[r] = cell["rmse"]
-                rmse_noisy[r] = cell["rmse_noisy"]
-                size[r] = cell["model_size"]
-        results[method] = MethodResult(method, rmse, rmse_noisy, size, errors)
-        if len(errors) > 0.1 * reps:
-            raise TooManyFailures(
-                f"method {method} failed on {len(errors)}/{reps} replicates; "
-                f"first failure: {errors[0][1]}"
-            )
     return EvalReport(
         label=config.setting,
         n=config.n,
         replicates=reps,
         master_seed=config.master_seed,
         config=config.to_dict(),
-        results=results,
+        results=collect_results(config.methods, rep_results),
     )
 
 

@@ -202,6 +202,23 @@ def improves(err: float, best: float) -> bool:
     return err < best - max(1e-12 * best, 1e-24)
 
 
+def covariance_values(values: np.ndarray):
+    """Mean curve and (exactly symmetric) empirical covariance kernel of the rows."""
+    mean = values.mean(axis=0)
+    centered = values - mean
+    cov = centered.T @ centered / values.shape[0]
+    return mean, (cov + cov.T) / 2.0
+
+
+def orient_rows(vecs: np.ndarray) -> np.ndarray:
+    """Flip rows in place so each one's first nonnegligible entry is positive."""
+    for row in vecs:
+        nz = np.flatnonzero(np.abs(row) > 1e-12 * np.max(np.abs(row)))
+        if nz.size and row[nz[0]] < 0:
+            row *= -1.0
+    return vecs
+
+
 def weighted_eigh(cov: np.ndarray, weights: np.ndarray, k: int):
     """Leading eigenpairs of a covariance kernel under the quadrature inner product.
 
@@ -219,11 +236,5 @@ def weighted_eigh(cov: np.ndarray, weights: np.ndarray, k: int):
     sym = (sym + sym.T) / 2.0
     evals, evecs = np.linalg.eigh(sym)
     order = np.argsort(evals)[::-1][:k]
-    evals = evals[order]
-    vecs = evecs[:, order].T
-    for row in vecs:
-        nz = np.flatnonzero(np.abs(row) > 1e-12 * np.max(np.abs(row)))
-        if nz.size and row[nz[0]] < 0:
-            row *= -1.0
-    basis = vecs / sqrt_w[None, :]
-    return evals, basis
+    basis = orient_rows(evecs[:, order].T) / sqrt_w[None, :]
+    return evals[order], basis

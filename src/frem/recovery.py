@@ -176,7 +176,9 @@ def cv_bandwidths_shared(times: np.ndarray, values: np.ndarray, candidates) -> n
     """Per-curve leave-one-out bandwidths for curves sharing one design.
 
     values has one curve per row; returns the selected bandwidth per row.
-    Identical to calling cv_bandwidth per curve, just batched.
+    Identical to calling cv_bandwidth per curve, just batched: a row's
+    bandwidth changes only when its error beats the incumbent by the margin
+    of `improves`, and the first finite error always does.
     """
     cands = np.sort(np.asarray(candidates, dtype=float))
     if cands.size == 0 or np.any(cands <= 0):
@@ -187,11 +189,10 @@ def cv_bandwidths_shared(times: np.ndarray, values: np.ndarray, candidates) -> n
     for h in cands:
         pred = _loo_predictions(times, values, float(h))
         err = np.sum((pred - values) ** 2, axis=1)
-        better = np.where(
-            np.isinf(best_err),
-            np.isfinite(err),
-            err < best_err - np.maximum(1e-12 * best_err, 1e-24),
-        )
+        # the `improves` margin, taken as zero while no candidate has scored
+        # (inf - inf would be NaN): then any finite error wins
+        margin = np.where(np.isinf(best_err), 0.0, np.maximum(1e-12 * best_err, 1e-24))
+        better = err < best_err - margin
         best_h[better] = h
         best_err[better] = err[better]
     return best_h

@@ -17,8 +17,11 @@ from .funcspace import (
     Grid,
     GridFunction,
     batch_inner,
+    covariance_values,
     l2_distances_to,
+    orient_rows,
     stack_values,
+    weighted_eigh,
 )
 
 _RANK_RTOL = 1e-12
@@ -74,15 +77,16 @@ def local_covariance(neighbors) -> np.ndarray:
     """Empirical covariance kernel (G x G matrix) of a list of neighbor curves."""
     if len(neighbors) < 2:
         raise InsufficientNeighborhood("need at least 2 neighbors for a covariance")
-    values = stack_values(neighbors)
-    return _covariance_values(values)[1]
+    return covariance_values(stack_values(neighbors))[1]
 
 
-def _covariance_values(values: np.ndarray):
-    mean = values.mean(axis=0)
-    centered = values - mean
-    cov = centered.T @ centered / values.shape[0]
-    return mean, (cov + cov.T) / 2.0
+def _require_rank(evals: np.ndarray, d: int) -> None:
+    """RankDeficient unless the top d eigenvalues are numerically positive."""
+    rank = int(np.sum(evals[:d] > _RANK_RTOL * max(evals[0], 0.0)))
+    if rank < d:
+        raise RankDeficient(
+            f"requested {d} tangent directions, local covariance supports {rank}"
+        )
 
 
 def _top_eigenpairs(values: np.ndarray, weights: np.ndarray, d: int):
@@ -94,32 +98,18 @@ def _top_eigenpairs(values: np.ndarray, weights: np.ndarray, d: int):
     and a basis orthonormal under the quadrature inner product.
     """
     n, g = values.shape
-    mean = values.mean(axis=0)
-    sqrt_w = np.sqrt(weights)
     if n < g:
+        mean = values.mean(axis=0)
+        sqrt_w = np.sqrt(weights)
         scaled = (values - mean) * sqrt_w[None, :] / np.sqrt(n)
         _, svals, vt = np.linalg.svd(scaled, full_matrices=False)
-        evals = svals * svals
-        vecs = vt
+        evals = svals[:d] * svals[:d]
+        basis = orient_rows(vt[:d]) / sqrt_w[None, :]
     else:
-        _, cov = _covariance_values(values)
-        sym = cov * sqrt_w[None, :] * sqrt_w[:, None]
-        sym = (sym + sym.T) / 2.0
-        ev, evec = np.linalg.eigh(sym)
-        order = np.argsort(ev)[::-1]
-        evals = ev[order]
-        vecs = evec[:, order].T
-    rank = int(np.sum(evals > _RANK_RTOL * max(evals[0], 0.0))) if evals.size else 0
-    if rank < d:
-        raise RankDeficient(
-            f"requested {d} tangent directions, local covariance supports {rank}"
-        )
-    top = vecs[:d].copy()
-    for row in top:
-        nz = np.flatnonzero(np.abs(row) > 1e-12 * np.max(np.abs(row)))
-        if nz.size and row[nz[0]] < 0:
-            row *= -1.0
-    return mean, evals[:d], top / sqrt_w[None, :]
+        mean, cov = covariance_values(values)
+        evals, basis = weighted_eigh(cov, weights, d)
+    _require_rank(evals, d)
+    return mean, evals, basis
 
 
 def tangent_basis(cov: np.ndarray, d: int, x: GridFunction, mean: GridFunction,
@@ -133,25 +123,12 @@ def tangent_basis(cov: np.ndarray, d: int, x: GridFunction, mean: GridFunction,
     if d < 1:
         raise InvalidSettings("need d >= 1")
     grid = x.grid
-    sqrt_w = np.sqrt(grid.quad_weights)
-    sym = cov * sqrt_w[None, :] * sqrt_w[:, None]
-    sym = (sym + sym.T) / 2.0
-    ev, evec = np.linalg.eigh(sym)
-    order = np.argsort(ev)[::-1]
-    evals = ev[order]
-    rank = int(np.sum(evals > _RANK_RTOL * max(evals[0], 0.0)))
-    if rank < d:
-        raise RankDeficient(f"requested {d} tangent directions, covariance supports {rank}")
-    vecs = evec[:, order[:d]].T.copy()
-    for row in vecs:
-        nz = np.flatnonzero(np.abs(row) > 1e-12 * np.max(np.abs(row)))
-        if nz.size and row[nz[0]] < 0:
-            row *= -1.0
-    basis_values = vecs / sqrt_w[None, :]
+    evals, basis_values = weighted_eigh(cov, grid.quad_weights, d)
+    _require_rank(evals, d)
     return TangentFrame(
         base=x,
         mean=mean,
-        eigenvalues=evals[:d],
+        eigenvalues=evals,
         basis=[GridFunction(grid, row) for row in basis_values],
         neighborhood_size=neighborhood_size,
         h_pca_used=h_pca_used,

@@ -51,7 +51,8 @@ def _simulate(setting, n, replicates=20, test_size=1000):
                            test_size=test_size, master_seed=MASTER_SEED)
     path = os.path.join(_DISK_CACHE, config_hash(cfg) + ".json")
     if os.path.exists(path):
-        payload = json.load(open(path))
+        with open(path) as fh:
+            payload = json.load(fh)
         results = {}
         for m, r in payload["results"].items():
             results[m] = MethodResult(

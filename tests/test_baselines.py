@@ -69,6 +69,18 @@ def test_fnw_fit_tie_break_and_validation():
         fnw_fit(_curves(values), np.ones(20), h_candidates=[-1.0])
 
 
+def test_fnw_model_rejects_mismatched_shapes():
+    values, _, _ = _three_component_sample(10, seed=8)
+    y = np.arange(10.0)
+    with pytest.raises(InvalidSettings, match="one response per curve"):
+        FnwModel.from_values(GRID, values, y[:-1], 1.0)
+    with pytest.raises(InvalidSettings, match="matrix on the grid"):
+        FnwModel.from_values(GRID, values[:, :50], y, 1.0)
+    # an array is refused as such, before the response count is looked at
+    with pytest.raises(InvalidSettings, match="from_values"):
+        FnwModel(values, y[:-1], 1.0)
+
+
 # -- functional linear regression --------------------------------------------
 
 

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -98,8 +99,8 @@ def test_write_report_files_byte_identical(tmp_path):
     rep = run_simulation(cfg)
     c1, m1 = write_report(rep, tmp_path / "a", "r", wall_time=0.1, workers=1)
     c2, m2 = write_report(rep, tmp_path / "b", "r", wall_time=0.7, workers=8)
-    assert open(c1, "rb").read() == open(c2, "rb").read()
-    j1, j2 = json.load(open(m1)), json.load(open(m2))
+    assert Path(c1).read_bytes() == Path(c2).read_bytes()
+    j1, j2 = json.loads(Path(m1).read_text()), json.loads(Path(m2).read_text())
     j1.pop("run"), j2.pop("run")
     assert j1 == j2
 

@@ -7,6 +7,7 @@ from frem.funcspace import Grid, GridFunction, inner_product, stack_values
 from frem.tangent import (
     TangentFrame,
     build_frame,
+    frame_at,
     local_covariance,
     neighborhood,
     project,
@@ -94,6 +95,24 @@ def test_tangent_basis_rank_deficient():
     mu = GridFunction(GRID, np.zeros(len(GRID)))
     with pytest.raises(RankDeficient):
         tangent_basis(cov, 2, curves[0], mu)
+    # the same check in frame_at, on its SVD (n < G) and eigh (n >= G) branches
+    for n in (40, 150):
+        values = np.linspace(-1.0, 1.0, n)[:, None] * f[None, :]
+        with pytest.raises(RankDeficient):
+            frame_at(values[0], values, GRID, 1e9, 2)
+
+
+# frame_at solves by SVD when n < G and by the weighted eigh when n >= G
+@pytest.mark.parametrize("n", [40, 150], ids=["svd", "eigh"])
+def test_frame_at_matches_tangent_basis(n):
+    rng = np.random.default_rng(12)
+    values = rng.standard_normal((n, len(GRID)))
+    mean, evals, basis, count, _ = frame_at(values[0], values, GRID, 1e9, 3)
+    assert count == n
+    cov = local_covariance(_as_funcs(values))
+    frame = tangent_basis(cov, 3, GridFunction(GRID, values[0]), GridFunction(GRID, mean))
+    assert np.allclose(evals, frame.eigenvalues, rtol=0.0, atol=1e-10)
+    assert np.allclose(basis, frame.basis_values, rtol=0.0, atol=1e-10)
 
 
 def test_frame_orthonormal_and_eigen_order():
