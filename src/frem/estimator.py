@@ -38,6 +38,7 @@ from .tangent import TangentFrame, frame_at
 
 _MODEL_FORMAT = "frem-model"
 _MODEL_VERSION = 1
+_EPS = np.finfo(float).eps
 
 
 @dataclass
@@ -78,8 +79,8 @@ class FremModel:
             raise InvalidSettings(
                 f"need at least dim+2={dim.rounded + 2} training curves, have {values.shape[0]}"
             )
-        if not (h_pca > 0 and h_reg > 0):
-            raise InvalidSettings("bandwidths must be positive")
+        if not (0 < h_pca < np.inf and 0 < h_reg < np.inf):
+            raise InvalidSettings("bandwidths must be positive and finite")
         self.grid = grid
         self.values = values
         self.responses = responses
@@ -170,23 +171,88 @@ def _wls_intercept(coords: np.ndarray, cx: np.ndarray, y: np.ndarray,
     return float(beta[0]), cond, ridge_applied
 
 
+def _reg_windows(dists: np.ndarray, h_regs, d: int):
+    """Kernel window of each h_reg candidate at one query.
+
+    A radius whose window holds fewer than d+2 curves grows by 1.5 at most 10
+    times. Returns one entry per candidate: (rows, weights K(t/h)/h^d) of the
+    widened window, or the InsufficientNeighborhood error if it stays thin.
+    """
+    out = []
+    for h_reg in h_regs:
+        h = float(h_reg)
+        nz = np.flatnonzero(kernel_eval(dists / h) > 0)
+        for _ in range(10):
+            if nz.size >= d + 2:
+                break
+            h *= 1.5
+            nz = np.flatnonzero(kernel_eval(dists / h) > 0)
+        if nz.size < d + 2:
+            out.append(InsufficientNeighborhood(
+                f"only {nz.size} curves carry weight within radius {h:g}"
+            ))
+        else:
+            out.append((nz, kernel_eval(dists[nz] / h) / h ** d))
+    return out
+
+
+def _stacked_wls(coords: np.ndarray, cxs: np.ndarray, y: np.ndarray, windows):
+    """Intercepts of the local linear fits for every (frame, window) pair.
+
+    coords is (P, n, d): the training coordinates in each of P frames, cxs
+    (P, d) the query's; windows are R (rows, weights) pairs from _reg_windows.
+    Every pair's weighted design [sqrt(w) (1, coords - cx) | sqrt(w) y] over
+    the union of the windows' rows (zero weight outside a pair's own window)
+    goes into one stack, reduced by one batched QR. The singular values of
+    each (d+1)x(d+1) R factor give the condition indicator and the rank
+    check; a nearly rank-deficient pair is solved by _wls_intercept instead.
+    Returns (intercepts, condition indicators, ridge flags), each (P, R).
+    """
+    n_frames, n, d = coords.shape
+    union = np.zeros(n, dtype=bool)
+    for nz, _ in windows:
+        union[nz] = True
+    rows = np.flatnonzero(union)
+    sqrt_w = np.zeros((len(windows), rows.size))
+    for r, (nz, kw) in enumerate(windows):
+        sqrt_w[r, np.searchsorted(rows, nz)] = np.sqrt(kw)
+    # built column-major per pair, the layout LAPACK's QR works in
+    design = np.empty((n_frames, d + 2, rows.size))
+    design[:, 0] = 1.0
+    design[:, 1:-1] = (coords[:, rows] - cxs[:, None, :]).swapaxes(1, 2)
+    design[:, -1] = y[rows]
+    stack = design[:, None] * sqrt_w[None, :, None, :]
+    r_fac = np.linalg.qr(stack.reshape(-1, d + 2, rows.size).swapaxes(1, 2), mode="r")
+    ra, qty = r_fac[:, :-1, :-1], r_fac[:, :-1, -1]
+    svals = np.linalg.svd(ra, compute_uv=False)
+    # lstsq's own rank cut is eps * rows: with a 1e4 margin every pair it could
+    # call rank deficient goes to _wls_intercept, and solve() only sees
+    # well-conditioned R factors
+    counts = np.array([nz.size for nz, _ in windows] * n_frames)
+    solvable = svals[:, -1] > 1e4 * _EPS * counts * svals[:, 0]
+    ghat = np.empty(counts.size)
+    cond = np.empty(counts.size)
+    ridged = np.zeros(counts.size, dtype=bool)
+    if solvable.any():
+        ghat[solvable] = np.linalg.solve(ra[solvable], qty[solvable][..., None])[:, 0, 0]
+        cond[solvable] = svals[solvable, 0] / svals[solvable, -1]
+    for k in np.flatnonzero(~solvable):
+        p, r = divmod(int(k), len(windows))
+        nz, kw = windows[r]
+        ghat[k], cond[k], ridged[k] = _wls_intercept(coords[p, nz], cxs[p], y[nz], kw, d)
+    shape = (n_frames, len(windows))
+    return ghat.reshape(shape), cond.reshape(shape), ridged.reshape(shape)
+
+
 def _weighted_fit(responses: np.ndarray, dists: np.ndarray, coords: np.ndarray,
                   cx: np.ndarray, d: int, h_reg: float):
     """Kernel-weighted local linear fit with adaptive bandwidth widening."""
-    h = float(h_reg)
-    nz = np.flatnonzero(kernel_eval(dists / h) > 0)
-    for _ in range(10):
-        if nz.size >= d + 2:
-            break
-        h *= 1.5
-        nz = np.flatnonzero(kernel_eval(dists / h) > 0)
-    if nz.size < d + 2:
-        raise InsufficientNeighborhood(
-            f"only {nz.size} curves carry weight within radius {h:g}"
-        )
-    kw = kernel_eval(dists[nz] / h) / h ** d
-    ghat, cond, ridged = _wls_intercept(coords[nz], cx, responses[nz], kw, d)
-    return ghat, FitDiagnostics(int(nz.size), cond, ridged)
+    window = _reg_windows(dists, [h_reg], d)[0]
+    if isinstance(window, FremError):
+        raise window
+    ghat, cond, ridged = _stacked_wls(coords[None], cx[None], responses, [window])
+    return float(ghat[0, 0]), FitDiagnostics(int(window[0].size), float(cond[0, 0]),
+                                             bool(ridged[0, 0]))
 
 
 def _local_fit_values(model: FremModel, x_values: np.ndarray,
@@ -288,54 +354,15 @@ def select_bandwidths_values(grid: Grid, values: np.ndarray, responses: np.ndarr
     hr = np.sort(np.asarray(h_reg_candidates, dtype=float))
     if hp.size == 0 or hr.size == 0:
         raise InvalidSettings("need at least one candidate per bandwidth")
-    if np.any(hp <= 0) or np.any(hr <= 0):
-        raise InvalidSettings("bandwidth candidates must be positive")
+    if not (np.all(np.isfinite(hp)) and np.all(np.isfinite(hr))
+            and hp[0] > 0 and hr[0] > 0):
+        raise InvalidSettings("bandwidth candidates must be positive and finite")
     if hp.size == 1 and hr.size == 1:
         return float(hp[0]), float(hr[0])
     n_folds = max(2, min(n_folds, n))
     rng = np.random.default_rng(seed)
-    perm = rng.permutation(n)
-    folds = np.array_split(perm, n_folds)
-
-    d = dim.rounded
-    w = grid.quad_weights
-    sq_err = np.zeros((hp.size, hr.size))
-    failed = np.zeros((hp.size, hr.size), dtype=bool)
-    for fold in folds:
-        mask = np.ones(n, dtype=bool)
-        mask[fold] = False
-        train_values = values[mask]
-        train_y = responses[mask]
-        if train_values.shape[0] < d + 2:
-            failed[:, :] = True
-            break
-        dist_block = pairwise_l2(values[fold], train_values, w)
-        for ip, h_pca in enumerate(hp):
-            if failed[ip].all():
-                continue
-            for j, idx in enumerate(fold):
-                x_values = values[idx]
-                dists = dist_block[j]
-                try:
-                    _, _, basis, _, _ = frame_at(
-                        x_values, train_values, grid, float(h_pca), d, dists=dists
-                    )
-                except FremError:
-                    failed[ip, :] = True
-                    break
-                coords = (train_values * w) @ basis.T
-                cx = (x_values * w) @ basis.T
-                for ir, h_reg in enumerate(hr):
-                    if failed[ip, ir]:
-                        continue
-                    try:
-                        pred, _ = _weighted_fit(
-                            train_y, dists, coords, cx, d, float(h_reg)
-                        )
-                    except FremError:
-                        failed[ip, ir] = True
-                        continue
-                    sq_err[ip, ir] += (pred - responses[idx]) ** 2
+    folds = np.array_split(rng.permutation(n), n_folds)
+    sq_err, failed = _cv_errors(grid, values, responses, dim.rounded, hp, hr, folds)
     if failed.all():
         raise AllFoldsFailed("every bandwidth pair errored during cross-validation")
     best, best_err = None, np.inf
@@ -346,6 +373,65 @@ def select_bandwidths_values(grid: Grid, values: np.ndarray, responses: np.ndarr
             if improves(sq_err[ip, ir], best_err):
                 best, best_err = (float(hp[ip]), float(hr[ir])), float(sq_err[ip, ir])
     return best
+
+
+def _cv_errors(grid: Grid, values: np.ndarray, responses: np.ndarray, d: int,
+               hp: np.ndarray, hr: np.ndarray, folds):
+    """Summed squared held-out errors of every (h_pca, h_reg) pair over the folds.
+
+    Queries are visited in fold order. At each query the h_reg windows are
+    built once; a window that stays too thin fails its h_reg column. A frame
+    error fails the whole h_pca row, which later queries skip. The surviving
+    pairs are solved together by _stacked_wls. Returns (sq_err, failed), both
+    (len(hp), len(hr)); sq_err is meaningful only where failed is False.
+    """
+    n = values.shape[0]
+    w = grid.quad_weights
+    sq_err = np.zeros((hp.size, hr.size))
+    row_failed = np.zeros(hp.size, dtype=bool)
+    col_failed = np.zeros(hr.size, dtype=bool)
+    for fold in folds:
+        if row_failed.all() or col_failed.all():
+            break
+        mask = np.ones(n, dtype=bool)
+        mask[fold] = False
+        train_values = values[mask]
+        train_y = responses[mask]
+        if train_values.shape[0] < d + 2:
+            row_failed[:] = True
+            break
+        weighted_train = train_values * w
+        dist_block = pairwise_l2(values[fold], train_values, w)
+        for j, idx in enumerate(fold):
+            dists = dist_block[j]
+            cols = np.flatnonzero(~col_failed)
+            windows = _reg_windows(dists, hr[cols], d)
+            thin = np.array([isinstance(win, FremError) for win in windows], dtype=bool)
+            col_failed[cols[thin]] = True
+            cols = cols[~thin]
+            windows = [win for win, t in zip(windows, thin) if not t]
+            if not windows:
+                break
+            bases = []
+            for ip in np.flatnonzero(~row_failed):
+                try:
+                    _, _, basis, _, _ = frame_at(
+                        values[idx], train_values, grid, float(hp[ip]), d, dists=dists
+                    )
+                except FremError:
+                    row_failed[ip] = True
+                    continue
+                bases.append(basis)
+            if not bases:
+                break
+            live = np.flatnonzero(~row_failed)
+            stacked = np.concatenate(bases)
+            coords = (weighted_train @ stacked.T).reshape(-1, live.size, d).swapaxes(0, 1)
+            cxs = ((values[idx] * w) @ stacked.T).reshape(live.size, d)
+            ghat, _, _ = _stacked_wls(coords, cxs, train_y, windows)
+            sq_err[live[:, None], cols] += (ghat - responses[idx]) ** 2
+    failed = row_failed[:, None] | col_failed[None, :]
+    return sq_err, failed
 
 
 def fit(curves, responses, dim: DimEstimate | None = None,

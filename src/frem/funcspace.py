@@ -212,10 +212,10 @@ def covariance_values(values: np.ndarray):
 
 def orient_rows(vecs: np.ndarray) -> np.ndarray:
     """Flip rows in place so each one's first nonnegligible entry is positive."""
-    for row in vecs:
-        nz = np.flatnonzero(np.abs(row) > 1e-12 * np.max(np.abs(row)))
-        if nz.size and row[nz[0]] < 0:
-            row *= -1.0
+    mag = np.abs(vecs)
+    big = mag > 1e-12 * mag.max(axis=1, keepdims=True)
+    first = vecs[np.arange(vecs.shape[0]), np.argmax(big, axis=1)]
+    vecs[big.any(axis=1) & (first < 0)] *= -1.0
     return vecs
 
 

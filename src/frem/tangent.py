@@ -26,6 +26,8 @@ from .funcspace import (
 
 _RANK_RTOL = 1e-12
 _ORTHO_TOL = 1e-8
+# below this lambda_d / lambda_1 the Gram basis is replaced by the SVD's
+_GRAM_RTOL = 1e-6
 
 
 @dataclass
@@ -92,24 +94,33 @@ def _require_rank(evals: np.ndarray, d: int) -> None:
 def _top_eigenpairs(values: np.ndarray, weights: np.ndarray, d: int):
     """Leading eigenpairs of the local covariance operator of centered rows.
 
-    Uses an SVD of the weighted data matrix when there are fewer neighbors
-    than grid points, otherwise eigendecomposition of the weighted covariance;
-    both give the eigenvalues of the quadrature-weighted covariance operator
+    With fewer neighbors k than grid points G, the k x k Gram matrix of the
+    weighted, centered rows is eigendecomposed and the basis recovered as
+    S^T u / sqrt(lambda); where lambda_d < 1e-6 lambda_1 that basis would
+    lose accuracy (error about eps / ratio), so an SVD of the weighted rows
+    is used instead. With k >= G the weighted covariance is eigendecomposed.
+    All give the eigenvalues of the quadrature-weighted covariance operator
     and a basis orthonormal under the quadrature inner product.
     """
     n, g = values.shape
-    if n < g:
-        mean = values.mean(axis=0)
-        sqrt_w = np.sqrt(weights)
-        scaled = (values - mean) * sqrt_w[None, :] / np.sqrt(n)
-        _, svals, vt = np.linalg.svd(scaled, full_matrices=False)
-        evals = svals[:d] * svals[:d]
-        basis = orient_rows(vt[:d]) / sqrt_w[None, :]
-    else:
+    if n >= g:
         mean, cov = covariance_values(values)
         evals, basis = weighted_eigh(cov, weights, d)
+        _require_rank(evals, d)
+        return mean, evals, basis
+    mean = values.mean(axis=0)
+    sqrt_w = np.sqrt(weights)
+    scaled = (values - mean) * sqrt_w[None, :] / np.sqrt(n)
+    lam, u = np.linalg.eigh(scaled @ scaled.T)
+    evals, u = lam[::-1][:d], u[:, ::-1][:, :d]
     _require_rank(evals, d)
-    return mean, evals, basis
+    if evals[-1] >= _GRAM_RTOL * evals[0]:
+        vt = (scaled.T @ u / np.sqrt(evals)).T
+    else:
+        _, svals, vt = np.linalg.svd(scaled, full_matrices=False)
+        evals = svals[:d] * svals[:d]
+        vt = vt[:d]
+    return mean, evals, orient_rows(vt) / sqrt_w[None, :]
 
 
 def tangent_basis(cov: np.ndarray, d: int, x: GridFunction, mean: GridFunction,

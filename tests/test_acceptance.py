@@ -40,7 +40,8 @@ _DISK_CACHE = os.path.join(os.path.dirname(__file__), ".acceptance_cache")
 def _simulate(setting, n, replicates=20, test_size=1000):
     """Run (or load) one heavy study; results are cached on disk by config
     hash so repeated suite runs do not recompute 20-replicate studies.
-    Delete tests/.acceptance_cache to force a fresh run."""
+    A loaded study must match a fresh run of its replicate 0 (see
+    _require_current). Delete tests/.acceptance_cache to force a fresh run."""
     from frem.bench import config_hash
     from frem.bench.report import MethodResult
 
@@ -66,6 +67,7 @@ def _simulate(setting, n, replicates=20, test_size=1000):
 
         report = _ER(payload["label"], payload["n"], payload["replicates"],
                      payload["master_seed"], payload["config"], results)
+        _require_current(cfg, report, path)
     else:
         report = run_simulation(cfg, workers=_WORKERS)
         os.makedirs(_DISK_CACHE, exist_ok=True)
@@ -86,6 +88,27 @@ def _simulate(setting, n, replicates=20, test_size=1000):
             json.dump(payload, fh)
     _cache[key] = report
     return report
+
+
+def _require_current(cfg, report, path):
+    """Fail unless replicate 0, recomputed from the current sources, gives
+    each method's cached rMSE (relative 1e-9) or its cached error."""
+    from frem.bench.simulate import run_replicate
+
+    fresh = run_replicate(cfg, 0)
+    stale = [] if fresh.keys() == report.results.keys() else ["methods differ"]
+    for m in sorted(fresh.keys() & report.results.keys()):
+        r, now = report.results[m], fresh[m]
+        cached = [msg for rep, msg in r.errors if rep == 0]
+        if cached or "error" in now:
+            if cached != [now.get("error")]:
+                stale.append(f"{m}: cached error {cached}, now {now.get('error')!r}")
+        elif not abs(now["rmse"] - r.rmse[0]) <= 1e-9 * abs(r.rmse[0]):
+            stale.append(f"{m}: cached rmse {float(r.rmse[0])!r}, now {now['rmse']!r}")
+    if stale:
+        pytest.fail(f"stale acceptance cache {path}: replicate 0 no longer matches "
+                    f"({'; '.join(stale)}); delete the file to "
+                    f"recompute the study", pytrace=False)
 
 
 def _line(criterion, ok, detail):

@@ -2,19 +2,21 @@ import numpy as np
 import pytest
 
 from frem import datagen
-from frem.errors import AllFoldsFailed, GridMismatch, InvalidSettings
+from frem.errors import AllFoldsFailed, FremError, GridMismatch, InvalidSettings
 from frem.estimator import (
     FremModel,
+    _cv_errors,
     default_candidate_grids,
     fit_local,
     fit_local_with_frame,
+    grids_from_values,
     predict,
     select_bandwidths,
 )
-from frem.funcspace import Grid, GridFunction, kernel_eval, l2_distance
+from frem.funcspace import Grid, GridFunction, kernel_eval, l2_distance, pairwise_l2
 from frem.intrinsic_dim import DimEstimate
 from frem.recovery import DiscreteObservations
-from frem.tangent import TangentFrame, build_frame
+from frem.tangent import TangentFrame, build_frame, frame_at
 
 GRID = Grid.regular(0.0, 1.0, 100)
 
@@ -44,6 +46,22 @@ def test_model_validation():
         FremModel(curves, np.zeros(10), model.dim, -1.0, 1.0)
     with pytest.raises(InvalidSettings):
         FremModel(curves[:3], np.zeros(3), DimEstimate(raw=5.0), 1.0, 1.0)
+
+
+def test_model_rejects_non_finite_bandwidths():
+    # an infinite h_reg puts zero weight K(0)/inf^d on every curve
+    sample = datagen.unit_scale(datagen.gen_klein(80, 0))
+    y = datagen.gen_response(sample, 2.0, 1)
+    curves = [GridFunction(GRID, row) for row in sample.values]
+    dim = DimEstimate(raw=2.0)
+    for h_pca, h_reg in ((0.5, np.inf), (np.inf, 0.5), (np.nan, 0.5), (0.5, np.nan)):
+        with pytest.raises(InvalidSettings, match="finite"):
+            FremModel(curves, y, dim, h_pca, h_reg)
+        with pytest.raises(InvalidSettings, match="finite"):
+            FremModel.from_values(GRID, sample.values, y, dim, h_pca, h_reg)
+    for hp, hr in (([0.5, np.inf], [0.5]), ([0.5], [0.3, np.inf]), ([0.5], [np.nan, 0.5])):
+        with pytest.raises(InvalidSettings, match="finite"):
+            select_bandwidths(curves, y, dim, hp, hr)
 
 
 def test_constant_response_reproduction():
@@ -248,3 +266,83 @@ def test_ridge_on_degenerate_design():
     value, diag = fit_local(model, curves[0])
     assert value == pytest.approx(4.0, abs=1e-10)
     assert diag.ridge_applied
+
+
+def test_condition_indicator_matches_lstsq():
+    model, curves, _, _ = _patch_model(60, seed=17, noise=0.1, h_pca=1.0, h_reg=0.9)
+    d = model.dim.rounded
+    w = GRID.quad_weights
+    for x in curves[:5]:
+        _, diag = fit_local(model, x)
+        dists = np.sqrt(((model.values - x.values) ** 2) @ w)
+        _, _, basis, _, _ = frame_at(x.values, model.values, GRID, model.h_pca, d, dists=dists)
+        kw = kernel_eval(dists / model.h_reg)
+        nz = np.flatnonzero(kw > 0)
+        assert nz.size == diag.effective_neighbors
+        design = np.column_stack([np.ones(nz.size), ((model.values[nz] - x.values) * w) @ basis.T])
+        svals = np.linalg.lstsq(design * np.sqrt(kw[nz])[:, None], np.zeros(nz.size),
+                                rcond=None)[3]
+        assert diag.condition_indicator == pytest.approx(svals[0] / svals[-1], rel=1e-8)
+
+
+def _reference_cv(values, y, d, hp, hr, folds):
+    """The per-pair loop: one frame_at per (h_pca, query) and one lstsq per
+    (h_pca, h_reg, query), h_pca outer. Also returns the largest frame
+    neighbourhood, to tell which eigen-solver branch ran."""
+    w = GRID.quad_weights
+    sq_err = np.zeros((hp.size, hr.size))
+    failed = np.zeros((hp.size, hr.size), dtype=bool)
+    largest = 0
+    for fold in folds:
+        mask = np.ones(len(values), dtype=bool)
+        mask[fold] = False
+        train, train_y = values[mask], y[mask]
+        dist_block = pairwise_l2(values[fold], train, w)
+        for ip, h_pca in enumerate(hp):
+            if failed[ip].all():
+                continue
+            for idx, dists in zip(fold, dist_block):
+                try:
+                    _, _, basis, count, _ = frame_at(values[idx], train, GRID, h_pca, d,
+                                                     dists=dists)
+                except FremError:
+                    failed[ip] = True
+                    break
+                largest = max(largest, count)
+                coords = ((train - values[idx]) * w) @ basis.T
+                for ir, h in enumerate(hr):
+                    if failed[ip, ir]:
+                        continue
+                    for step in range(11):      # at most 10 widenings by 1.5
+                        kw = kernel_eval(dists / h) / h ** d
+                        if np.count_nonzero(kw) >= d + 2:
+                            break
+                        h *= 1.5
+                    else:
+                        failed[ip, ir] = True
+                        continue
+                    nz = np.flatnonzero(kw)
+                    design = np.column_stack([np.ones(nz.size), coords[nz]])
+                    sw = np.sqrt(kw[nz])
+                    beta = np.linalg.lstsq(design * sw[:, None], train_y[nz] * sw, rcond=None)[0]
+                    sq_err[ip, ir] += (beta[0] - y[idx]) ** 2
+    return sq_err, failed, largest
+
+
+# n=60 frames only see neighbourhoods smaller than the grid (Gram eigh);
+# n=200 with doubled h_pca also reaches the G x G eigh; shrinking h_reg forces
+# window widening and fails the smallest h_reg columns
+@pytest.mark.parametrize("n, hp_scale, hr_scale", [(60, 1.0, 1.0), (200, 2.0, 1.0), (60, 1.0, 0.03)],
+                         ids=["gram", "eigh", "thin-windows"])
+def test_cv_errors_match_per_pair_reference(n, hp_scale, hr_scale):
+    sample = datagen.unit_scale(datagen.gen_klein(n, 3))
+    y = datagen.gen_response(sample, 2.0, 4)
+    hp, hr = grids_from_values(sample.values, GRID.quad_weights)
+    hp, hr = hp * hp_scale, hr * hr_scale
+    folds = np.array_split(np.random.default_rng(5).permutation(n), 5)
+    sq_err, failed = _cv_errors(GRID, sample.values, y, 2, hp, hr, folds)
+    ref_err, ref_failed, largest = _reference_cv(sample.values, y, 2, hp, hr, folds)
+    assert (largest >= len(GRID)) == (hp_scale > 1.0)
+    assert np.array_equal(failed, ref_failed)
+    assert failed.any() == (hr_scale < 1.0) and not failed.all()
+    assert np.allclose(sq_err[~failed], ref_err[~failed], rtol=1e-10, atol=0.0)

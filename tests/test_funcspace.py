@@ -8,6 +8,7 @@ from frem.funcspace import (
     inner_product,
     kernel_eval,
     l2_distance,
+    orient_rows,
     pairwise_l2,
     stack_values,
     weighted_eigh,
@@ -136,3 +137,22 @@ def test_weighted_eigh_orthonormal():
     assert np.all(np.diff(evals[:3]) <= 1e-12)
     gram = (basis * grid.quad_weights) @ basis.T
     assert np.allclose(gram, np.eye(3), atol=1e-8)
+
+
+def test_orient_rows_matches_row_loop():
+    # rows with leading zeros, leading sub-threshold noise of either sign,
+    # all zeros and NaN, against the per-row loop it replaced
+    rng = np.random.default_rng(5)
+    vecs = rng.standard_normal((40, 30))
+    vecs[::3, :4] = 0.0
+    vecs[1::4, :2] = 1e-14 * rng.standard_normal((10, 2))
+    vecs[5] = 0.0
+    vecs[7, 3] = np.nan
+    expected = vecs.copy()
+    for row in expected:
+        nz = np.flatnonzero(np.abs(row) > 1e-12 * np.max(np.abs(row)))
+        if nz.size and row[nz[0]] < 0:
+            row *= -1.0
+    out = orient_rows(vecs)
+    assert out is vecs
+    assert np.array_equal(vecs, expected, equal_nan=True)

@@ -1,9 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from frem import datagen
 from frem.errors import GridMismatch, InsufficientNeighborhood, RankDeficient
-from frem.funcspace import Grid, GridFunction, inner_product, stack_values
+from frem.funcspace import Grid, GridFunction, inner_product, orient_rows, stack_values
 from frem.tangent import (
     TangentFrame,
     build_frame,
@@ -95,24 +97,50 @@ def test_tangent_basis_rank_deficient():
     mu = GridFunction(GRID, np.zeros(len(GRID)))
     with pytest.raises(RankDeficient):
         tangent_basis(cov, 2, curves[0], mu)
-    # the same check in frame_at, on its SVD (n < G) and eigh (n >= G) branches
-    for n in (40, 150):
-        values = np.linspace(-1.0, 1.0, n)[:, None] * f[None, :]
-        with pytest.raises(RankDeficient):
-            frame_at(values[0], values, GRID, 1e9, 2)
+    # the same check in frame_at, on its Gram (n < G) and eigh (n >= G)
+    # branches; on the Gram branch it must come before any division by a
+    # zero or negative eigenvalue, so no warning may be raised either
+    for values in (np.linspace(-1.0, 1.0, 40)[:, None] * f[None, :],
+                   np.tile(f, (40, 1)),
+                   np.zeros((40, len(GRID))),
+                   np.linspace(-1.0, 1.0, 150)[:, None] * f[None, :]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RankDeficient):
+                frame_at(values[0], values, GRID, 1e9, 2)
 
 
-# frame_at solves by SVD when n < G and by the weighted eigh when n >= G
-@pytest.mark.parametrize("n", [40, 150], ids=["svd", "eigh"])
-def test_frame_at_matches_tangent_basis(n):
+def _near_degenerate(n, seed):
+    """Rank-3 curves whose third local eigenvalue is 1e-8 times the first."""
+    rng = np.random.default_rng(seed)
+    basis = datagen.fourier_basis(GRID.points, 3)
+    coefs = rng.uniform(-1.0, 1.0, size=(n, 3)) * np.array([1.0, 0.5, 1e-4])
+    return coefs @ basis
+
+
+# frame_at solves by the Gram eigh when n < G, by an SVD when n < G and the
+# spectrum is too spread for the Gram basis, and by the weighted eigh when
+# n >= G
+@pytest.mark.parametrize("n, near_degenerate", [(40, False), (40, True), (150, False)],
+                         ids=["gram", "svd", "eigh"])
+def test_frame_at_matches_tangent_basis(n, near_degenerate):
     rng = np.random.default_rng(12)
-    values = rng.standard_normal((n, len(GRID)))
+    values = _near_degenerate(n, 12) if near_degenerate else rng.standard_normal((n, len(GRID)))
     mean, evals, basis, count, _ = frame_at(values[0], values, GRID, 1e9, 3)
     assert count == n
     cov = local_covariance(_as_funcs(values))
     frame = tangent_basis(cov, 3, GridFunction(GRID, values[0]), GridFunction(GRID, mean))
     assert np.allclose(evals, frame.eigenvalues, rtol=0.0, atol=1e-10)
-    assert np.allclose(basis, frame.basis_values, rtol=0.0, atol=1e-10)
+    if not near_degenerate:
+        assert np.allclose(basis, frame.basis_values, rtol=0.0, atol=1e-10)
+        return
+    assert evals[2] / evals[0] == pytest.approx(1e-8, rel=0.5)
+    # the covariance eigh resolves the third direction only to about
+    # eps / 1e-8, so the reference here is the SVD of the weighted rows
+    sqrt_w = np.sqrt(GRID.quad_weights)
+    _, _, vt = np.linalg.svd((values - mean) * sqrt_w, full_matrices=False)
+    ref = orient_rows(vt[:3]) / sqrt_w
+    assert np.allclose(basis, ref, rtol=0.0, atol=1e-10)
 
 
 def test_frame_orthonormal_and_eigen_order():
