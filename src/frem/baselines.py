@@ -11,10 +11,14 @@ from .errors import EmptyWindow, GridMismatch, InvalidSettings, RankDeficient
 from .funcspace import (
     Grid,
     GridFunction,
+    check_training,
     covariance_values,
+    cv_folds,
     improves,
     kernel_eval,
     l2_distances_to,
+    pairwise_l2,
+    positive_bandwidths,
     stack_values,
     weighted_eigh,
 )
@@ -43,33 +47,30 @@ class FnwModel:
         return self
 
     def _init_from(self, grid, values, responses, bandwidth):
-        if not bandwidth > 0:
-            raise InvalidSettings("bandwidth must be positive")
-        responses = np.asarray(responses, dtype=float)
-        if values.ndim != 2 or values.shape[1] != len(grid):
-            raise InvalidSettings("curve values must be an (n, G) matrix on the grid")
-        if responses.shape != (values.shape[0],):
-            raise InvalidSettings("one response per curve required")
+        positive_bandwidths(bandwidth)
+        responses = check_training(grid, values, responses)
         self.grid = grid
         self.values = values
         self.responses = responses
         self.bandwidth = float(bandwidth)
 
 
-def _fnw_predict_values(model: FnwModel, x_values: np.ndarray) -> float:
-    dists = l2_distances_to(model.values, x_values, model.grid.quad_weights)
-    w = kernel_eval(dists / model.bandwidth)
-    total = w.sum()
-    if total <= 0:
-        raise EmptyWindow("no training curve within the kernel bandwidth")
-    return float(np.dot(w, model.responses) / total)
+def fnw_predict_values(model: FnwModel, dists: np.ndarray):
+    """Kernel-weighted mean responses from (q, n) distances to the training
+    curves, or (n,) for one query; EmptyWindow if any query has no weight."""
+    kmat = kernel_eval(dists / model.bandwidth)
+    totals = kmat.sum(axis=-1)
+    if np.any(totals <= 0):
+        raise EmptyWindow("a test point has no training curve in its window")
+    return (kmat @ model.responses) / totals
 
 
 def fnw_predict(model: FnwModel, x: GridFunction) -> float:
     """Kernel-weighted mean response at x; errors if every weight is zero."""
     if not x.grid.same_as(model.grid):
         raise GridMismatch("query curve is not on the model grid")
-    return _fnw_predict_values(model, x.values)
+    dists = l2_distances_to(model.values, x.values, model.grid.quad_weights)
+    return float(fnw_predict_values(model, dists))
 
 
 def fnw_fit(curves, responses, h_candidates=None, n_folds: int = 10,
@@ -87,17 +88,12 @@ def fnw_fit(curves, responses, h_candidates=None, n_folds: int = 10,
 def fnw_fit_values(grid: Grid, values: np.ndarray, responses: np.ndarray,
                    h_candidates=None, n_folds: int = 10, seed: int = 0) -> FnwModel:
     from .estimator import grids_from_values
-    from .funcspace import pairwise_l2
 
     if h_candidates is None:
         h_candidates = grids_from_values(values, grid.quad_weights)[0]
-    cands = np.sort(np.asarray(h_candidates, dtype=float))
-    if cands.size == 0 or np.any(cands <= 0):
-        raise InvalidSettings("bandwidth candidates must be positive and nonempty")
+    cands = positive_bandwidths(h_candidates, "bandwidth candidates")
     n = values.shape[0]
-    n_folds = max(2, min(n_folds, n))
-    rng = np.random.default_rng(seed)
-    folds = np.array_split(rng.permutation(n), n_folds)
+    folds = cv_folds(n, n_folds, seed)
     dmat = pairwise_l2(values, values, grid.quad_weights)
 
     def cv_error(h):
@@ -193,9 +189,7 @@ def flr_fit_values(grid: Grid, values: np.ndarray, responses: np.ndarray,
         raise InvalidSettings("need n > max(p_candidates) + 1")
     w = grid.quad_weights
     p_max = max(p_list)
-    n_folds = max(2, min(n_folds, n))
-    rng = np.random.default_rng(seed)
-    folds = np.array_split(rng.permutation(n), n_folds)
+    folds = cv_folds(n, n_folds, seed)
     errors = {p: 0.0 for p in p_list}
     feasible = {p: True for p in p_list}
     for fold in folds:
@@ -230,13 +224,14 @@ def flr_fit_values(grid: Grid, values: np.ndarray, responses: np.ndarray,
                     scores=scores, slopes=slopes, intercept=intercept)
 
 
-def _flr_predict_values(model: FlrModel, x_values: np.ndarray) -> float:
+def flr_predict_values(model: FlrModel, x_values: np.ndarray):
+    """Predictions for (q, G) curve values on the model grid, or (G,) for one."""
     scores = ((x_values - model.mean_values) * model.grid.quad_weights) @ model.basis_values.T
-    return float(model.intercept + scores @ model.slopes)
+    return model.intercept + scores @ model.slopes
 
 
 def flr_predict(model: FlrModel, x: GridFunction) -> float:
     """Intercept plus slopes applied to the centered scores of x."""
     if not x.grid.same_as(model.grid):
         raise GridMismatch("query curve is not on the model grid")
-    return _flr_predict_values(model, x.values)
+    return float(flr_predict_values(model, x.values))

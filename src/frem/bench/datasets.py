@@ -116,8 +116,8 @@ def difference_quotient(dataset: Dataset) -> Dataset:
     )
 
 
-def load_query_curves(path, expected_grid: Grid | None = None) -> np.ndarray:
-    """Read prediction queries: rows of curve values on the header grid.
+def load_query_curves(path):
+    """Read prediction queries: returns (header grid points, rows of curve values).
 
     Accepts files with or without a trailing response column (detected by
     whether the last header cell parses as a number); a response column, if
@@ -148,6 +148,4 @@ def load_query_curves(path, expected_grid: Grid | None = None) -> np.ndarray:
             except ValueError:
                 raise ParseError(f"row {i}: non-numeric curve value") from None
             rows.append(vals)
-    if expected_grid is not None and not np.array_equal(points, expected_grid.points):
-        raise SchemaError("query grid does not match the model grid")
-    return np.asarray(rows)
+    return points, np.asarray(rows)

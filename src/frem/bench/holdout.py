@@ -22,15 +22,14 @@ from .simulate import collect_results, score_method
 
 
 def holdout_eval(dataset: Dataset, split: float = 0.75, repeats: int = 20,
-                 methods=("frem", "fnw", "flr"), master_seed: int = 0,
-                 tuning: TuningConfig | None = None) -> EvalReport:
+                 methods=("frem", "fnw", "flr"), master_seed: int = 0) -> EvalReport:
     if not 0.0 < split < 1.0:
         raise InvalidSettings("split fraction must lie strictly between 0 and 1")
     if repeats < 1:
         raise InvalidSettings("need at least one repeat")
     if dataset.n < 10:
         raise InvalidSettings("dataset too small for holdout evaluation")
-    tuning = tuning or TuningConfig()
+    tuning = TuningConfig()
     grid = dataset.grid
     w = grid.quad_weights
     n = dataset.n

@@ -9,6 +9,7 @@ from the determinism contract.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 from dataclasses import dataclass, field
@@ -16,6 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import InvalidSettings
+from .config import canonical_json
 
 
 @dataclass
@@ -105,7 +107,6 @@ def _finite_or_none(x: float):
 def report_meta(report: EvalReport, wall_time: float | None = None,
                 workers: int | None = None) -> dict:
     from .. import __version__
-    import hashlib
 
     summary = {}
     for method, res in report.results.items():
@@ -121,9 +122,7 @@ def report_meta(report: EvalReport, wall_time: float | None = None,
         "replicates": report.replicates,
         "master_seed": report.master_seed,
         "config": report.config,
-        "config_hash": hashlib.sha256(
-            json.dumps(report.config, sort_keys=True, separators=(",", ":")).encode()
-        ).hexdigest(),
+        "config_hash": hashlib.sha256(canonical_json(report.config).encode()).hexdigest(),
         "summary": summary,
         "versions": {"frem": __version__, "numpy": np.__version__},
     }

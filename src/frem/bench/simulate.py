@@ -17,17 +17,17 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from .. import datagen, recovery
-from ..baselines import flr_fit_values, fnw_fit_values
-from ..errors import EmptyWindow, FremError, TooManyFailures
+from ..baselines import flr_fit_values, flr_predict_values, fnw_fit_values, fnw_predict_values
+from ..errors import FremError, TooManyFailures
 from ..estimator import (
     FremModel,
     _local_fit_values,
     grids_from_values,
     select_bandwidths_values,
 )
-from ..funcspace import kernel_eval, pairwise_l2
+from ..funcspace import pairwise_l2
 from ..intrinsic_dim import DimSettings, estimate_dim_values
-from .config import SimulationConfig, config_hash, mix_seed
+from .config import SimulationConfig, mix_seed
 from .report import EvalReport, MethodResult
 
 # subtask tags for per-replicate seed derivation
@@ -145,19 +145,14 @@ def _run_method(method, tuning, grid, x_tr, y_tr, x_te, dists_te, rep_seed):
             grids_from_values(x_tr, w, tuning.n_bandwidth_candidates)[0],
             n_folds=10, seed=mix_seed(rep_seed, _CV_FNW),
         )
-        kmat = kernel_eval(dists_te / model.bandwidth)
-        totals = kmat.sum(axis=1)
-        if np.any(totals <= 0):
-            raise EmptyWindow("a test point has no training curve in its window")
-        return (kmat @ y_tr) / totals, float("nan")
+        return fnw_predict_values(model, dists_te), float("nan")
     if method == "flr":
         p_hi = min(tuning.flr_p_max, x_tr.shape[0] - 2)
         model = flr_fit_values(
             grid, x_tr, y_tr, range(0, p_hi + 1),
             n_folds=10, seed=mix_seed(rep_seed, _CV_FLR),
         )
-        scores = ((x_te - model.mean_values) * w) @ model.basis_values.T
-        return model.intercept + scores @ model.slopes, float(model.p)
+        return flr_predict_values(model, x_te), float(model.p)
     raise FremError(f"unknown method {method!r}")
 
 

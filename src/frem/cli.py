@@ -16,7 +16,7 @@ import time
 
 import numpy as np
 
-from .bench.config import SimulationConfig, mix_seed
+from .bench.config import SimulationConfig
 from .bench.datasets import load_dataset, load_query_curves
 from .bench.holdout import holdout_eval
 from .bench.rates import recovery_rate_study, regression_rate_study
@@ -132,19 +132,12 @@ def _cmd_fit(args) -> int:
 
 def _cmd_predict(args) -> int:
     model = FremModel.load(args.model)
-    queries = load_query_curves(args.data)
-    grid_match = queries.shape[1] == len(model.grid)
-    preds = []
-    if grid_match:
-        for row in queries:
-            preds.append(_local_fit_values(model, row)[0])
+    points, queries = load_query_curves(args.data)
+    if np.array_equal(points, model.grid.points):
+        preds = [_local_fit_values(model, row)[0] for row in queries]
     else:
         # off-grid queries are discrete records: recover, then evaluate
-        with open(args.data, newline="") as fh:
-            header = fh.readline().strip().split(",")
-        times = np.asarray([float(c) for c in header[: queries.shape[1]]])
-        for row in queries:
-            preds.append(predict_query(model, DiscreteObservations(times, row)))
+        preds = [predict_query(model, DiscreteObservations(points, row)) for row in queries]
     lines = ["prediction"] + [repr(float(p)) for p in preds]
     payload = "\n".join(lines) + "\n"
     if args.out:

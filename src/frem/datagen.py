@@ -10,7 +10,6 @@ isometric. All generators draw per-curve random substreams keyed by
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,18 +22,6 @@ _LATENT, _RESPONSE, _OBSERVE = 0, 1, 2
 
 def _rng(seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=key))
-
-
-@dataclass
-class NoiseSpec:
-    """Variance-ratio signal-to-noise levels for measurements and responses."""
-
-    snr_x: float = 4.0
-    snr_y: float = 2.0
-
-    def __post_init__(self):
-        if not (self.snr_x > 0 and self.snr_y > 0):
-            raise InvalidSettings("signal-to-noise ratios must be positive")
 
 
 class ManifoldSample:

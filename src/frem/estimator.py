@@ -26,11 +26,15 @@ from .errors import (
 from .funcspace import (
     Grid,
     GridFunction,
+    check_training,
+    cv_folds,
     improves,
     kernel_eval,
     l2_distances_to,
     pairwise_l2,
+    positive_bandwidths,
     stack_values,
+    widened_ball,
 )
 from .intrinsic_dim import DimEstimate
 from .recovery import DiscreteObservations, smooth_with_defaults
@@ -70,17 +74,12 @@ class FremModel:
         return self
 
     def _init_from(self, grid, values, responses, dim, h_pca, h_reg):
-        responses = np.asarray(responses, dtype=float)
-        if values.ndim != 2 or values.shape[1] != len(grid):
-            raise InvalidSettings("curve values must be an (n, G) matrix on the grid")
-        if responses.shape != (values.shape[0],):
-            raise InvalidSettings("one response per curve required")
+        responses = check_training(grid, values, responses)
         if values.shape[0] < dim.rounded + 2:
             raise InvalidSettings(
                 f"need at least dim+2={dim.rounded + 2} training curves, have {values.shape[0]}"
             )
-        if not (0 < h_pca < np.inf and 0 < h_reg < np.inf):
-            raise InvalidSettings("bandwidths must be positive and finite")
+        positive_bandwidths([h_pca, h_reg], "bandwidths")
         self.grid = grid
         self.values = values
         self.responses = responses
@@ -174,19 +173,15 @@ def _wls_intercept(coords: np.ndarray, cx: np.ndarray, y: np.ndarray,
 def _reg_windows(dists: np.ndarray, h_regs, d: int):
     """Kernel window of each h_reg candidate at one query.
 
-    A radius whose window holds fewer than d+2 curves grows by 1.5 at most 10
-    times. Returns one entry per candidate: (rows, weights K(t/h)/h^d) of the
-    widened window, or the InsufficientNeighborhood error if it stays thin.
+    The window is the open ball dists < h, exactly where K(dists/h) > 0; if it
+    holds fewer than d+2 curves the radius grows by 1.5 at most 10 times
+    (funcspace.widened_ball). Returns one entry per candidate: (rows, weights
+    K(t/h)/h^d) of the widened window, or the InsufficientNeighborhood error
+    if it stays thin.
     """
     out = []
     for h_reg in h_regs:
-        h = float(h_reg)
-        nz = np.flatnonzero(kernel_eval(dists / h) > 0)
-        for _ in range(10):
-            if nz.size >= d + 2:
-                break
-            h *= 1.5
-            nz = np.flatnonzero(kernel_eval(dists / h) > 0)
+        nz, h = widened_ball(dists, h_reg, d + 2)
         if nz.size < d + 2:
             out.append(InsufficientNeighborhood(
                 f"only {nz.size} curves carry weight within radius {h:g}"
@@ -244,30 +239,30 @@ def _stacked_wls(coords: np.ndarray, cxs: np.ndarray, y: np.ndarray, windows):
     return ghat.reshape(shape), cond.reshape(shape), ridged.reshape(shape)
 
 
-def _weighted_fit(responses: np.ndarray, dists: np.ndarray, coords: np.ndarray,
-                  cx: np.ndarray, d: int, h_reg: float):
-    """Kernel-weighted local linear fit with adaptive bandwidth widening."""
-    window = _reg_windows(dists, [h_reg], d)[0]
+def _weighted_fit(model: FremModel, x_values: np.ndarray, dists: np.ndarray,
+                  basis: np.ndarray):
+    """Kernel-weighted local linear fit at x on its coordinates in the frame
+    whose basis rows are given, with adaptive h_reg widening."""
+    d = basis.shape[0]
+    window = _reg_windows(dists, [model.h_reg], d)[0]
     if isinstance(window, FremError):
         raise window
-    ghat, cond, ridged = _stacked_wls(coords[None], cx[None], responses, [window])
+    w = model.grid.quad_weights
+    coords = (model.values * w) @ basis.T
+    cx = (x_values * w) @ basis.T
+    ghat, cond, ridged = _stacked_wls(coords[None], cx[None], model.responses, [window])
     return float(ghat[0, 0]), FitDiagnostics(int(window[0].size), float(cond[0, 0]),
                                              bool(ridged[0, 0]))
 
 
 def _local_fit_values(model: FremModel, x_values: np.ndarray,
                       dists: np.ndarray | None = None):
-    grid = model.grid
-    w = grid.quad_weights
     if dists is None:
-        dists = l2_distances_to(model.values, x_values, w)
-    d = model.dim.rounded
+        dists = l2_distances_to(model.values, x_values, model.grid.quad_weights)
     _, _, basis, _, _ = frame_at(
-        x_values, model.values, grid, model.h_pca, d, dists=dists
+        x_values, model.values, model.grid, model.h_pca, model.dim.rounded, dists=dists
     )
-    coords = (model.values * w) @ basis.T
-    cx = (x_values * w) @ basis.T
-    return _weighted_fit(model.responses, dists, coords, cx, d, model.h_reg)
+    return _weighted_fit(model, x_values, dists, basis)
 
 
 def fit_local(model: FremModel, x: GridFunction):
@@ -291,19 +286,15 @@ def fit_local_with_frame(model: FremModel, x: GridFunction, frame: TangentFrame)
     """
     if not x.grid.same_as(model.grid):
         raise GridMismatch("query curve is not on the model grid")
-    w = model.grid.quad_weights
-    dists = l2_distances_to(model.values, x.values, w)
-    coords = (model.values * w) @ frame.basis_values.T
-    cx = (x.values * w) @ frame.basis_values.T
-    return _weighted_fit(model.responses, dists, coords, cx, frame.d, model.h_reg)
+    dists = l2_distances_to(model.values, x.values, model.grid.quad_weights)
+    return _weighted_fit(model, x.values, dists, frame.basis_values)
 
 
-def default_candidate_grids(curves, n_candidates: int = 8):
-    """Log-spaced bandwidth candidates spanning the 5th to 50th percentile of
-    pairwise L2 distances among the training curves; used for both h_pca and
-    h_reg."""
-    values = stack_values(curves)
-    return grids_from_values(values, curves[0].grid.quad_weights, n_candidates)
+def default_candidate_grids(curves):
+    """Eight log-spaced bandwidth candidates spanning the 5th to 50th
+    percentile of pairwise L2 distances among the training curves; used for
+    both h_pca and h_reg."""
+    return grids_from_values(stack_values(curves), curves[0].grid.quad_weights)
 
 
 def grids_from_values(values: np.ndarray, quad_weights: np.ndarray,
@@ -345,23 +336,15 @@ def select_bandwidths(curves, responses, dim: DimEstimate,
 def select_bandwidths_values(grid: Grid, values: np.ndarray, responses: np.ndarray,
                              dim: DimEstimate, h_pca_candidates=None,
                              h_reg_candidates=None, n_folds: int = 5, seed: int = 0):
-    n = values.shape[0]
     if h_pca_candidates is None or h_reg_candidates is None:
         hp_default, hr_default = grids_from_values(values, grid.quad_weights)
         h_pca_candidates = hp_default if h_pca_candidates is None else h_pca_candidates
         h_reg_candidates = hr_default if h_reg_candidates is None else h_reg_candidates
-    hp = np.sort(np.asarray(h_pca_candidates, dtype=float))
-    hr = np.sort(np.asarray(h_reg_candidates, dtype=float))
-    if hp.size == 0 or hr.size == 0:
-        raise InvalidSettings("need at least one candidate per bandwidth")
-    if not (np.all(np.isfinite(hp)) and np.all(np.isfinite(hr))
-            and hp[0] > 0 and hr[0] > 0):
-        raise InvalidSettings("bandwidth candidates must be positive and finite")
+    hp = positive_bandwidths(h_pca_candidates, "bandwidth candidates")
+    hr = positive_bandwidths(h_reg_candidates, "bandwidth candidates")
     if hp.size == 1 and hr.size == 1:
         return float(hp[0]), float(hr[0])
-    n_folds = max(2, min(n_folds, n))
-    rng = np.random.default_rng(seed)
-    folds = np.array_split(rng.permutation(n), n_folds)
+    folds = cv_folds(values.shape[0], n_folds, seed)
     sq_err, failed = _cv_errors(grid, values, responses, dim.rounded, hp, hr, folds)
     if failed.all():
         raise AllFoldsFailed("every bandwidth pair errored during cross-validation")

@@ -1,8 +1,12 @@
 """Grid-based representation of square-integrable functions on a compact interval.
 
 Curves are stored as values on a shared grid; inner products and distances
-are trapezoid-rule approximations of their L2 counterparts. The Epanechnikov
-kernel used by every smoother in the package also lives here.
+are trapezoid-rule approximations of their L2 counterparts. The rules that
+several estimators share live here, each written once: the Epanechnikov
+kernel, the adaptively widened L2 ball (`widened_ball`), the K-fold split
+(`cv_folds`), the bandwidth check (`positive_bandwidths`), the training-array
+check (`check_training`), the empirical covariance and the weighted
+eigen-solver.
 """
 
 from __future__ import annotations
@@ -200,6 +204,52 @@ def improves(err: float, best: float) -> bool:
     if best == np.inf:
         return err < np.inf
     return err < best - max(1e-12 * best, 1e-24)
+
+
+def widened_ball(dists: np.ndarray, h: float, need: int):
+    """Indices of the open ball dists < h, its radius grown by 1.5 at most 10
+    times until it holds `need` members.
+
+    Returns (members, radius used); the caller decides whether fewer than
+    `need` members after the last widening is an error.
+    """
+    h = float(h)
+    members = np.flatnonzero(dists < h)
+    for _ in range(10):
+        if members.size >= need:
+            break
+        h *= 1.5
+        members = np.flatnonzero(dists < h)
+    return members, h
+
+
+def cv_folds(n: int, n_folds: int, seed: int):
+    """Seeded K-fold split of range(n), with K clipped to [2, n]."""
+    perm = np.random.default_rng(seed).permutation(n)
+    return np.array_split(perm, max(2, min(n_folds, n)))
+
+
+def positive_bandwidths(h, what: str = "bandwidth") -> np.ndarray:
+    """A bandwidth or candidate list as a sorted float array.
+
+    InvalidSettings unless it is nonempty and every value is positive and
+    finite.
+    """
+    h = np.sort(np.asarray(h, dtype=float).ravel())
+    if h.size == 0 or not (h[0] > 0 and np.isfinite(h[-1])):
+        raise InvalidSettings(f"{what} must be positive and finite")
+    return h
+
+
+def check_training(grid: Grid, values: np.ndarray, responses) -> np.ndarray:
+    """Check an (n, G) training matrix on the grid and its n responses;
+    returns the responses as floats."""
+    responses = np.asarray(responses, dtype=float)
+    if values.ndim != 2 or values.shape[1] != len(grid):
+        raise InvalidSettings("curve values must be an (n, G) matrix on the grid")
+    if responses.shape != (values.shape[0],):
+        raise InvalidSettings("one response per curve required")
+    return responses
 
 
 def covariance_values(values: np.ndarray):

@@ -22,23 +22,18 @@ class DimSettings:
 
     The regularizer is added to every neighbor distance before the log
     ratios are formed; it defaults to zero, which maximizes resolution on
-    clean samples and keeps the estimator scale-invariant. base_subsample
-    caps the number of base points averaged over; None averages over the
-    full sample, the only mode the theory covers.
+    clean samples and keeps the estimator scale-invariant.
     """
 
     k1: int = 10
     k2: int = 20
     regularizer: float = 0.0
-    base_subsample: int | None = None
 
     def __post_init__(self):
         if not (2 <= self.k1 <= self.k2):
             raise InvalidSettings("need 2 <= k1 <= k2")
         if self.regularizer < 0:
             raise InvalidSettings("regularizer must be nonnegative")
-        if self.base_subsample is not None and self.base_subsample < 1:
-            raise InvalidSettings("base_subsample must be positive")
 
 
 @dataclass
@@ -92,12 +87,9 @@ def estimate_dim_values(values: np.ndarray, quad_weights: np.ndarray,
     n = values.shape[0]
     if n <= settings.k2:
         raise InsufficientSample(f"need more than k2={settings.k2} curves, have {n}")
-    n_base = n
-    if settings.base_subsample is not None:
-        n_base = min(settings.base_subsample, n)
-    dmat = pairwise_l2(values[:n_base], values, quad_weights)
+    dmat = pairwise_l2(values, values, quad_weights)
     # each base point sits in the sample; mask out its own zero distance
-    dmat[np.arange(n_base), np.arange(n_base)] = np.inf
+    dmat[np.arange(n), np.arange(n)] = np.inf
     sorted_d = np.sort(dmat, axis=1)[:, : settings.k2]
     delta = settings.regularizer
     per_k = np.array([

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyObservations, InvalidSettings
-from .funcspace import Grid, GridFunction, improves, kernel_eval
+from .funcspace import Grid, GridFunction, improves, kernel_eval, positive_bandwidths
 
 
 @dataclass
@@ -54,8 +54,7 @@ class SmootherSettings:
     grid: Grid
 
     def __post_init__(self):
-        if not self.bandwidth > 0:
-            raise InvalidSettings("bandwidth must be positive")
+        positive_bandwidths(self.bandwidth)
         if not self.ridge > 0:
             raise InvalidSettings("ridge must be positive")
 
@@ -82,11 +81,10 @@ def default_bandwidth(m: int, nu: float = 2.0, scale: float = 1.0,
     return scale * domain_length * float(m) ** (-1.0 / (2.0 * nu + 1.0))
 
 
-def bandwidth_candidates(m: int, nu: float = 2.0, domain_length: float = 1.0,
-                         n_candidates: int = 10, span: float = 4.0) -> np.ndarray:
-    """Log-spaced bandwidth grid geometrically centered at the default rate."""
+def bandwidth_candidates(m: int, nu: float = 2.0, domain_length: float = 1.0) -> np.ndarray:
+    """Ten log-spaced bandwidths from 1/4 to 4 times the default rate."""
     h0 = default_bandwidth(m, nu, 1.0, domain_length)
-    return np.geomspace(h0 / span, h0 * span, n_candidates)
+    return np.geomspace(h0 / 4.0, h0 * 4.0, 10)
 
 
 def _moment_terms(times: np.ndarray, targets: np.ndarray, h: float):
@@ -158,13 +156,8 @@ def cv_bandwidth(obs: DiscreteObservations, candidates) -> float:
 
     Ties are broken toward the smaller bandwidth.
     """
-    cands = np.asarray(candidates, dtype=float)
-    if cands.size == 0:
-        raise InvalidSettings("need at least one bandwidth candidate")
-    if np.any(cands <= 0):
-        raise InvalidSettings("bandwidth candidates must be positive")
     best_h, best_err = None, np.inf
-    for h in np.sort(cands):
+    for h in positive_bandwidths(candidates, "bandwidth candidates"):
         pred = _loo_predictions(obs.times, obs.values, float(h))
         err = float(np.sum((pred - obs.values) ** 2))
         if improves(err, best_err):
@@ -180,9 +173,7 @@ def cv_bandwidths_shared(times: np.ndarray, values: np.ndarray, candidates) -> n
     bandwidth changes only when its error beats the incumbent by the margin
     of `improves`, and the first finite error always does.
     """
-    cands = np.sort(np.asarray(candidates, dtype=float))
-    if cands.size == 0 or np.any(cands <= 0):
-        raise InvalidSettings("bandwidth candidates must be positive and nonempty")
+    cands = positive_bandwidths(candidates, "bandwidth candidates")
     n = values.shape[0]
     best_h = np.empty(n)
     best_err = np.full(n, np.inf)

@@ -20,8 +20,10 @@ from .funcspace import (
     covariance_values,
     l2_distances_to,
     orient_rows,
+    positive_bandwidths,
     stack_values,
     weighted_eigh,
+    widened_ball,
 )
 
 _RANK_RTOL = 1e-12
@@ -68,8 +70,7 @@ class TangentFrame:
 
 def neighborhood(x: GridFunction, curves, h_pca: float):
     """Indices of curves strictly within L2 distance h_pca of x, ascending."""
-    if not h_pca > 0:
-        raise InvalidSettings("h_pca must be positive")
+    positive_bandwidths(h_pca, "h_pca")
     values = stack_values(curves)
     dists = l2_distances_to(values, x.values, x.grid.quad_weights)
     return [int(i) for i in np.flatnonzero(dists < h_pca)]
@@ -154,49 +155,37 @@ def project(curve: GridFunction, frame: TangentFrame) -> np.ndarray:
 
 
 def frame_at(x_values: np.ndarray, values: np.ndarray, grid: Grid, h_pca: float,
-             d: int, dists: np.ndarray | None = None, growth: float = 1.5,
-             max_expansions: int = 10):
+             d: int, dists: np.ndarray | None = None):
     """Array-level frame construction with adaptive neighborhood widening.
 
-    If the ball of radius h_pca holds fewer than max(d+2, 10) curves, the
-    radius grows by `growth` at most `max_expansions` times before erroring.
+    The neighbors are the curves strictly within L2 distance h_pca of x. If
+    fewer than max(d+2, 10) (at most n) are, the radius grows by 1.5 at most
+    10 times (funcspace.widened_ball) before InsufficientNeighborhood.
     Returns (mean values, eigenvalues, basis values, neighbor count, radius used).
     """
-    if not h_pca > 0:
-        raise InvalidSettings("h_pca must be positive")
+    positive_bandwidths(h_pca, "h_pca")
     if d < 1:
         raise InvalidSettings("need d >= 1")
     n = values.shape[0]
     if dists is None:
         dists = l2_distances_to(values, x_values, grid.quad_weights)
-    target = min(max(d + 2, 10), n)
     if n < d + 2:
         raise InsufficientNeighborhood(f"need at least {d + 2} curves, have {n}")
-    h = float(h_pca)
-    members = dists < h
-    count = int(members.sum())
-    for _ in range(max_expansions):
-        if count >= target:
-            break
-        h *= growth
-        members = dists < h
-        count = int(members.sum())
-    if count < target:
+    need = min(max(d + 2, 10), n)
+    members, h = widened_ball(dists, h_pca, need)
+    if members.size < need:
         raise InsufficientNeighborhood(
-            f"only {count} curves within radius {h:g} after widening"
+            f"only {members.size} curves within radius {h:g} after widening"
         )
     mean, evals, basis = _top_eigenpairs(values[members], grid.quad_weights, d)
-    return mean, evals, basis, count, h
+    return mean, evals, basis, members.size, h
 
 
-def build_frame(x: GridFunction, curves, h_pca: float, d: int,
-                growth: float = 1.5, max_expansions: int = 10) -> TangentFrame:
-    """Tangent frame at x from the curves within an adaptively widened L2 ball."""
-    values = stack_values(curves)
+def build_frame(x: GridFunction, curves, h_pca: float, d: int) -> TangentFrame:
+    """Tangent frame at x from the curves within an adaptively widened L2 ball
+    (radius grown by 1.5 at most 10 times, as in frame_at)."""
     grid = x.grid
-    mean, evals, basis, count, h = frame_at(
-        x.values, values, grid, h_pca, d, growth=growth, max_expansions=max_expansions
-    )
+    mean, evals, basis, count, h = frame_at(x.values, stack_values(curves), grid, h_pca, d)
     return TangentFrame(
         base=x,
         mean=GridFunction(grid, mean),

@@ -6,11 +6,14 @@ from frem.baselines import (
     FnwModel,
     flr_fit,
     flr_predict,
+    flr_predict_values,
     fnw_fit,
+    fnw_fit_values,
     fnw_predict,
+    fnw_predict_values,
 )
 from frem.errors import EmptyWindow, GridMismatch, InvalidSettings
-from frem.funcspace import Grid, GridFunction
+from frem.funcspace import Grid, GridFunction, l2_distances_to
 
 GRID = Grid.regular(0.0, 1.0, 100)
 
@@ -79,6 +82,35 @@ def test_fnw_model_rejects_mismatched_shapes():
     # an array is refused as such, before the response count is looked at
     with pytest.raises(InvalidSettings, match="from_values"):
         FnwModel(values, y[:-1], 1.0)
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan, 0.0, -1.0], ids=["inf", "nan", "zero", "negative"])
+def test_fnw_rejects_bad_bandwidths(bad):
+    values, _, _ = _three_component_sample(20, seed=9)
+    y = np.arange(20.0)
+    with pytest.raises(InvalidSettings, match="positive and finite"):
+        FnwModel.from_values(GRID, values, y, bad)
+    with pytest.raises(InvalidSettings, match="positive and finite"):
+        FnwModel(_curves(values), y, bad)
+    with pytest.raises(InvalidSettings, match="positive and finite"):
+        fnw_fit_values(GRID, values, y, [0.5, bad])
+
+
+def test_batched_predictions_match_per_curve():
+    values, _, _ = _three_component_sample(60, seed=24)
+    y = np.random.default_rng(25).standard_normal(60)
+    train, queries = values[:45], values[45:]
+    fnw = fnw_fit(_curves(train), y[:45], seed=26)
+    flr = flr_fit(_curves(train), y[:45], p_candidates=range(0, 4), seed=27)
+    dists = np.array([l2_distances_to(train, q, GRID.quad_weights) for q in queries])
+    assert np.allclose(fnw_predict_values(fnw, dists),
+                       [fnw_predict(fnw, c) for c in _curves(queries)], rtol=1e-12, atol=0.0)
+    assert np.allclose(flr_predict_values(flr, queries),
+                       [flr_predict(flr, c) for c in _curves(queries)], rtol=1e-12, atol=0.0)
+    # one query whose window is empty fails the whole batch
+    dists[3] = 2.0 * fnw.bandwidth
+    with pytest.raises(EmptyWindow):
+        fnw_predict_values(fnw, dists)
 
 
 # -- functional linear regression --------------------------------------------

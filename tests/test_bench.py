@@ -103,6 +103,7 @@ def test_write_report_files_byte_identical(tmp_path):
     j1, j2 = json.loads(Path(m1).read_text()), json.loads(Path(m2).read_text())
     j1.pop("run"), j2.pop("run")
     assert j1 == j2
+    assert j1["config_hash"] == config_hash(cfg)
 
 
 # -- relative reduction ---------------------------------------------------------
@@ -272,3 +273,45 @@ def test_holdout_validates_split():
     ds = _synthetic_dataset()
     with pytest.raises(InvalidSettings):
         holdout_eval(ds, split=1.2, repeats=1)
+
+
+# -- names the benchmark relies on -----------------------------------------------
+
+# perfbench/ rebinds or calls these with these leading parameters (by position
+# or by name); Tier-1 does not collect perfbench/, so a rename would otherwise
+# break only the benchmark.
+_BENCHMARK_NAMES = [
+    ("bench.simulate", "_run_method",
+     ("method", "tuning", "grid", "x_tr", "y_tr", "x_te", "dists_te", "rep_seed")),
+    ("bench.simulate", "_generate", ("setting", "n", "seed", "grid")),
+    ("bench.simulate", "run_replicate", ("config", "rep")),
+    ("tangent", "frame_at", ("x_values", "values", "grid", "h_pca", "d", "dists")),
+    ("estimator", "select_bandwidths_values",
+     ("grid", "values", "responses", "dim", "h_pca_candidates", "h_reg_candidates")),
+    ("estimator", "_local_fit_values", ("model", "x_values", "dists")),
+    ("estimator", "predict", ("model", "query")),
+    ("estimator", "grids_from_values", ("values", "quad_weights", "n_candidates")),
+    ("baselines", "fnw_fit_values", ("grid", "values", "responses", "h_candidates")),
+    ("baselines", "flr_fit_values", ("grid", "values", "responses", "p_candidates")),
+    ("intrinsic_dim", "estimate_dim_values", ("values", "quad_weights", "settings")),
+    ("recovery", "smooth_all", ("observations", "grid")),
+    ("recovery", "cv_bandwidth", ("obs", "candidates")),
+    ("recovery", "smooth_curve", ("obs", "settings")),
+    ("datagen", "response_signal", ("sample",)),
+    ("datagen", "gen_klein", ("n", "seed", "grid")),
+    ("datagen", "observe", ("sample", "m", "snr_x", "seed", "design")),
+]
+
+
+@pytest.mark.parametrize("module, name, params", _BENCHMARK_NAMES,
+                         ids=[f"{m}.{n}" for m, n, _ in _BENCHMARK_NAMES])
+def test_benchmark_names_keep_their_signatures(module, name, params):
+    import importlib
+    import inspect
+
+    sig = inspect.signature(getattr(importlib.import_module(f"frem.{module}"), name))
+    listed = list(sig.parameters.values())
+    assert tuple(p.name for p in listed[:len(params)]) == params
+    assert all(p.kind is p.POSITIONAL_OR_KEYWORD for p in listed[:len(params)])
+    # nothing beyond them may be required
+    assert all(p.default is not p.empty for p in listed[len(params):])

@@ -71,6 +71,33 @@ def test_cli_fit_predict_roundtrip(tmp_path, capsys):
     assert np.all(np.isfinite(preds))
 
 
+def _write_queries(path, points, rows):
+    with open(path, "w") as fh:
+        fh.write(",".join(repr(float(t)) for t in points) + "\n")
+        for row in rows:
+            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+
+
+@pytest.mark.parametrize("points", [np.linspace(0.0, 2.0, 40), np.linspace(0.0, 1.0, 25)],
+                         ids=["same-count-other-grid", "other-count"])
+def test_cli_predict_recovers_off_grid_queries(tmp_path, capsys, points):
+    from frem.estimator import FremModel, predict
+    from frem.recovery import DiscreteObservations
+
+    data_path, _, _ = _write_dataset_csv(tmp_path / "train.csv")
+    model_path = tmp_path / "model.json"
+    assert main(["fit", "--data", data_path, "--out", str(model_path)]) == 0
+    capsys.readouterr()
+    rows = np.sin(np.outer([1.0, 2.0, 3.0], points))
+    q_path = tmp_path / "queries.csv"
+    _write_queries(q_path, points, rows)
+    assert main(["predict", "--model", str(model_path), "--data", str(q_path)]) == 0
+    preds = [float(v) for v in capsys.readouterr().out.strip().splitlines()[1:]]
+    # a query off the model grid is a discrete record: recovered, then fitted
+    model = FremModel.load(model_path)
+    assert preds == [predict(model, DiscreteObservations(points, row)) for row in rows]
+
+
 def test_cli_dim(tmp_path, capsys):
     data_path, _, _ = _write_dataset_csv(tmp_path / "train.csv", n=80)
     assert main(["dim", "--data", data_path]) == 0

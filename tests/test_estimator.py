@@ -2,10 +2,17 @@ import numpy as np
 import pytest
 
 from frem import datagen
-from frem.errors import AllFoldsFailed, FremError, GridMismatch, InvalidSettings
+from frem.errors import (
+    AllFoldsFailed,
+    FremError,
+    GridMismatch,
+    InsufficientNeighborhood,
+    InvalidSettings,
+)
 from frem.estimator import (
     FremModel,
     _cv_errors,
+    _reg_windows,
     default_candidate_grids,
     fit_local,
     fit_local_with_frame,
@@ -346,3 +353,38 @@ def test_cv_errors_match_per_pair_reference(n, hp_scale, hr_scale):
     assert np.array_equal(failed, ref_failed)
     assert failed.any() == (hr_scale < 1.0) and not failed.all()
     assert np.allclose(sq_err[~failed], ref_err[~failed], rtol=1e-10, atol=0.0)
+
+
+def test_curve_at_exactly_h_is_outside_both_balls():
+    values = _patch_model(30, seed=18)[0].values
+    x = values[0] + 0.01
+    dists = np.sqrt(((values - x) ** 2) @ GRID.quad_weights)
+    order = np.argsort(dists)
+    h = float(dists[order[12]])    # twelve curves strictly inside, one on the boundary
+    inside = np.flatnonzero(dists < h)
+    assert inside.size == 12 and order[12] not in inside
+    mean, _, _, count, h_used = frame_at(x, values, GRID, h, 2, dists=dists)
+    assert (count, h_used) == (12, h)
+    assert np.array_equal(mean, values[inside].mean(axis=0))
+    rows, weights = _reg_windows(dists, [h], 2)[0]
+    assert np.array_equal(rows, inside)
+    assert np.all(weights > 0)
+
+
+def test_widening_stops_after_ten_steps():
+    values = _patch_model(12, seed=19)[0].values
+    reach = 1.0
+    for _ in range(10):
+        reach *= 1.5
+    # every other curve sits just inside, then exactly on, the tenth widening
+    for far, ok in ((np.nextafter(reach, 0.0), True), (reach, False)):
+        dists = np.r_[0.0, np.full(11, far)]
+        windows = _reg_windows(dists, [1.0, 2.0 * reach], 2)
+        assert isinstance(windows[1], tuple) and windows[1][0].size == 12
+        if ok:
+            assert frame_at(values[0], values, GRID, 1.0, 2, dists=dists)[4] == reach
+            assert windows[0][0].size == 12
+            continue
+        with pytest.raises(InsufficientNeighborhood):
+            frame_at(values[0], values, GRID, 1.0, 2, dists=dists)
+        assert isinstance(windows[0], InsufficientNeighborhood)

@@ -139,3 +139,20 @@ def test_batched_paths_match_per_curve():
     hs = cv_bandwidths_shared(t, values, cands)
     for i, o in enumerate(obs):
         assert hs[i] == cv_bandwidth(o, cands)
+
+
+@pytest.mark.parametrize("bad", [[np.nan], [np.inf], [0.05, np.inf], [], [0.0, 0.1], [-0.1]],
+                         ids=["nan", "inf", "one-inf", "empty", "zero", "negative"])
+def test_bandwidth_candidates_must_be_positive_and_finite(bad):
+    t = np.linspace(0.0, 1.0, 50)
+    obs = DiscreteObservations(t, np.sin(6.0 * t))
+    with pytest.raises(InvalidSettings, match="positive and finite"):
+        cv_bandwidth(obs, bad)
+    with pytest.raises(InvalidSettings, match="positive and finite"):
+        cv_bandwidths_shared(t, obs.values[None, :], bad)
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan, 0.0, -0.1], ids=["inf", "nan", "zero", "negative"])
+def test_smoother_bandwidth_must_be_positive_and_finite(bad):
+    with pytest.raises(InvalidSettings, match="positive and finite"):
+        SmootherSettings(bandwidth=bad, ridge=1e-4, grid=GRID)
