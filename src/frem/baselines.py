@@ -12,7 +12,6 @@ from .funcspace import (
     Grid,
     GridFunction,
     check_training,
-    covariance_values,
     cv_folds,
     improves,
     kernel_eval,
@@ -20,7 +19,7 @@ from .funcspace import (
     pairwise_l2,
     positive_bandwidths,
     stack_values,
-    weighted_eigh,
+    weighted_pca,
 )
 
 
@@ -55,14 +54,19 @@ class FnwModel:
         self.bandwidth = float(bandwidth)
 
 
-def fnw_predict_values(model: FnwModel, dists: np.ndarray):
-    """Kernel-weighted mean responses from (q, n) distances to the training
-    curves, or (n,) for one query; EmptyWindow if any query has no weight."""
-    kmat = kernel_eval(dists / model.bandwidth)
+def _kernel_mean(kmat: np.ndarray, responses: np.ndarray):
+    """The FNW kernel-weighted mean from (q, n) kernel weights, shared by
+    prediction and the bandwidth cross-validation."""
     totals = kmat.sum(axis=-1)
     if np.any(totals <= 0):
         raise EmptyWindow("a test point has no training curve in its window")
-    return (kmat @ model.responses) / totals
+    return (kmat @ responses) / totals
+
+
+def fnw_predict_values(model: FnwModel, dists: np.ndarray):
+    """Kernel-weighted mean responses from (q, n) distances to the training
+    curves, or (n,) for one query; EmptyWindow if any query has no weight."""
+    return _kernel_mean(kernel_eval(dists / model.bandwidth), model.responses)
 
 
 def fnw_predict(model: FnwModel, x: GridFunction) -> float:
@@ -101,11 +105,14 @@ def fnw_fit_values(grid: Grid, values: np.ndarray, responses: np.ndarray,
         for fold in folds:
             mask = np.ones(n, dtype=bool)
             mask[fold] = False
-            w = kernel_eval(dmat[np.ix_(fold, mask)] / h)
-            totals = w.sum(axis=1)
-            if np.any(totals <= 0):
+            # kmat outlives the call so that the previous fold's matrix is
+            # freed only once the next exists; freed earlier, the allocator
+            # hands the heap top back and every fold faults it in again
+            kmat = kernel_eval(dmat[np.ix_(fold, mask)] / h)
+            try:
+                preds = _kernel_mean(kmat, responses[mask])
+            except EmptyWindow:
                 return None
-            preds = (w @ responses[mask]) / totals
             err += float(np.sum((preds - responses[fold]) ** 2))
         return err
 
@@ -151,8 +158,7 @@ class FlrModel:
 
 
 def _fpca(values: np.ndarray, quad_weights: np.ndarray, p: int):
-    mean, cov = covariance_values(values)
-    evals, basis = weighted_eigh(cov, quad_weights, p)
+    mean, evals, basis = weighted_pca(values, quad_weights, p)
     rank = int(np.sum(evals > 1e-12 * max(evals[0], 0.0)))
     return mean, basis, rank
 

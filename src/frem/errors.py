@@ -54,7 +54,7 @@ class MethodMismatch(FremError):
 
 
 class AllFoldsFailed(FremError):
-    """Every candidate errored on every cross-validation fold."""
+    """Every candidate failed on every cross-validation fold."""
 
 
 class TooManyFailures(FremError):

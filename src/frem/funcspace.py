@@ -5,8 +5,9 @@ are trapezoid-rule approximations of their L2 counterparts. The rules that
 several estimators share live here, each written once: the Epanechnikov
 kernel, the adaptively widened L2 ball (`widened_ball`), the K-fold split
 (`cv_folds`), the bandwidth check (`positive_bandwidths`), the training-array
-check (`check_training`), the empirical covariance and the weighted
-eigen-solver.
+check (`check_training`), and the weighted functional PCA (`weighted_pca`)
+that gives both the local tangent frames and the global FPCA of FLR.
+`weighted_eigh` solves the same eigenproblem from a given covariance kernel.
 """
 
 from __future__ import annotations
@@ -252,14 +253,6 @@ def check_training(grid: Grid, values: np.ndarray, responses) -> np.ndarray:
     return responses
 
 
-def covariance_values(values: np.ndarray):
-    """Mean curve and (exactly symmetric) empirical covariance kernel of the rows."""
-    mean = values.mean(axis=0)
-    centered = values - mean
-    cov = centered.T @ centered / values.shape[0]
-    return mean, (cov + cov.T) / 2.0
-
-
 def orient_rows(vecs: np.ndarray) -> np.ndarray:
     """Flip rows in place so each one's first nonnegligible entry is positive."""
     mag = np.abs(vecs)
@@ -288,3 +281,31 @@ def weighted_eigh(cov: np.ndarray, weights: np.ndarray, k: int):
     order = np.argsort(evals)[::-1][:k]
     basis = orient_rows(evecs[:, order].T) / sqrt_w[None, :]
     return evals[order], basis
+
+
+def weighted_pca(values: np.ndarray, weights: np.ndarray, k: int):
+    """Mean and top-k eigenpairs of the rows' covariance operator under the
+    quadrature inner product (local or global functional PCA).
+
+    With S = (rows - mean) W^(1/2) / sqrt(n), eigendecomposes the smaller of
+    S^T S and S S^T. On the S S^T side the basis S^T u / sqrt(lambda) loses
+    accuracy as lambda_k / lambda_1 falls, so unless lambda_k > 1e-6 lambda_1
+    (strict, which also keeps the division off zero) the SVD of S is used.
+    Returns (mean, eigenvalues, basis) as weighted_eigh does; needs k >= 1.
+    """
+    n, g = values.shape
+    mean = values.mean(axis=0)
+    sqrt_w = np.sqrt(weights)
+    scaled = (values - mean) * sqrt_w[None, :] / np.sqrt(n)
+    if n >= g:
+        lam, v = np.linalg.eigh(scaled.T @ scaled)
+        evals, vt = lam[::-1][:k], v[:, ::-1][:, :k].T
+    else:
+        lam, u = np.linalg.eigh(scaled @ scaled.T)
+        evals, u = lam[::-1][:k], u[:, ::-1][:, :k]
+        if evals[-1] > 1e-6 * evals[0]:
+            vt = (scaled.T @ u / np.sqrt(evals)).T
+        else:
+            _, svals, vt = np.linalg.svd(scaled, full_matrices=False)
+            evals, vt = svals[:k] * svals[:k], vt[:k]
+    return mean, evals, orient_rows(vt) / sqrt_w[None, :]

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyObservations, InvalidSettings
-from .funcspace import Grid, GridFunction, improves, kernel_eval, positive_bandwidths
+from .errors import AllFoldsFailed, EmptyObservations, InvalidSettings
+from .funcspace import Grid, GridFunction, kernel_eval, positive_bandwidths
 
 
 @dataclass
@@ -154,38 +154,41 @@ def _loo_predictions(times: np.ndarray, values: np.ndarray, h: float) -> np.ndar
 def cv_bandwidth(obs: DiscreteObservations, candidates) -> float:
     """Bandwidth with the smallest leave-one-out squared prediction error.
 
-    Ties are broken toward the smaller bandwidth.
+    Ties are broken toward the smaller bandwidth; AllFoldsFailed if no
+    candidate's error is finite.
     """
-    best_h, best_err = None, np.inf
-    for h in positive_bandwidths(candidates, "bandwidth candidates"):
-        pred = _loo_predictions(obs.times, obs.values, float(h))
-        err = float(np.sum((pred - obs.values) ** 2))
-        if improves(err, best_err):
-            best_h, best_err = float(h), err
-    return best_h
+    return float(cv_bandwidths_shared(obs.times, obs.values[None, :], candidates)[0])
 
 
 def cv_bandwidths_shared(times: np.ndarray, values: np.ndarray, candidates) -> np.ndarray:
     """Per-curve leave-one-out bandwidths for curves sharing one design.
 
-    values has one curve per row; returns the selected bandwidth per row.
-    Identical to calling cv_bandwidth per curve, just batched: a row's
+    values has one curve per row; returns the selected bandwidth per row,
+    each as cv_bandwidth would choose it for that curve alone: a row's
     bandwidth changes only when its error beats the incumbent by the margin
-    of `improves`, and the first finite error always does.
+    of `improves`, and the first finite error always does. AllFoldsFailed if
+    some row has no finite error (its values too large to square).
     """
     cands = positive_bandwidths(candidates, "bandwidth candidates")
-    n = values.shape[0]
-    best_h = np.empty(n)
-    best_err = np.full(n, np.inf)
-    for h in cands:
-        pred = _loo_predictions(times, values, float(h))
-        err = np.sum((pred - values) ** 2, axis=1)
-        # the `improves` margin, taken as zero while no candidate has scored
-        # (inf - inf would be NaN): then any finite error wins
-        margin = np.where(np.isinf(best_err), 0.0, np.maximum(1e-12 * best_err, 1e-24))
-        better = err < best_err - margin
-        best_h[better] = h
-        best_err[better] = err[better]
+    best_h = np.empty(values.shape[0])
+    # a row's bandwidth changes when its error falls below its bar: its best
+    # error less the `improves` margin, and inf until a finite error is seen
+    bar = np.full(values.shape[0], np.inf)
+    # overflow only makes a candidate's error non-finite, which never wins
+    with np.errstate(over="ignore", invalid="ignore"):
+        for h in cands:
+            pred = _loo_predictions(times, values, float(h))
+            err = np.sum((pred - values) ** 2, axis=1)
+            better = err < bar
+            if better.any():
+                best_h[better] = h
+                won = err[better]
+                bar[better] = won - np.maximum(1e-12 * won, 1e-24)
+    failed = np.flatnonzero(np.isinf(bar))
+    if failed.size:
+        raise AllFoldsFailed(
+            f"no bandwidth candidate gives a finite leave-one-out error for curve {failed[0]}"
+        )
     return best_h
 
 

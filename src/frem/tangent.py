@@ -17,19 +17,16 @@ from .funcspace import (
     Grid,
     GridFunction,
     batch_inner,
-    covariance_values,
     l2_distances_to,
-    orient_rows,
     positive_bandwidths,
     stack_values,
     weighted_eigh,
+    weighted_pca,
     widened_ball,
 )
 
 _RANK_RTOL = 1e-12
 _ORTHO_TOL = 1e-8
-# below this lambda_d / lambda_1 the Gram basis is replaced by the SVD's
-_GRAM_RTOL = 1e-6
 
 
 @dataclass
@@ -80,7 +77,10 @@ def local_covariance(neighbors) -> np.ndarray:
     """Empirical covariance kernel (G x G matrix) of a list of neighbor curves."""
     if len(neighbors) < 2:
         raise InsufficientNeighborhood("need at least 2 neighbors for a covariance")
-    return covariance_values(stack_values(neighbors))[1]
+    values = stack_values(neighbors)
+    centered = values - values.mean(axis=0)
+    cov = centered.T @ centered / len(neighbors)
+    return (cov + cov.T) / 2.0
 
 
 def _require_rank(evals: np.ndarray, d: int) -> None:
@@ -90,38 +90,6 @@ def _require_rank(evals: np.ndarray, d: int) -> None:
         raise RankDeficient(
             f"requested {d} tangent directions, local covariance supports {rank}"
         )
-
-
-def _top_eigenpairs(values: np.ndarray, weights: np.ndarray, d: int):
-    """Leading eigenpairs of the local covariance operator of centered rows.
-
-    With fewer neighbors k than grid points G, the k x k Gram matrix of the
-    weighted, centered rows is eigendecomposed and the basis recovered as
-    S^T u / sqrt(lambda); where lambda_d < 1e-6 lambda_1 that basis would
-    lose accuracy (error about eps / ratio), so an SVD of the weighted rows
-    is used instead. With k >= G the weighted covariance is eigendecomposed.
-    All give the eigenvalues of the quadrature-weighted covariance operator
-    and a basis orthonormal under the quadrature inner product.
-    """
-    n, g = values.shape
-    if n >= g:
-        mean, cov = covariance_values(values)
-        evals, basis = weighted_eigh(cov, weights, d)
-        _require_rank(evals, d)
-        return mean, evals, basis
-    mean = values.mean(axis=0)
-    sqrt_w = np.sqrt(weights)
-    scaled = (values - mean) * sqrt_w[None, :] / np.sqrt(n)
-    lam, u = np.linalg.eigh(scaled @ scaled.T)
-    evals, u = lam[::-1][:d], u[:, ::-1][:, :d]
-    _require_rank(evals, d)
-    if evals[-1] >= _GRAM_RTOL * evals[0]:
-        vt = (scaled.T @ u / np.sqrt(evals)).T
-    else:
-        _, svals, vt = np.linalg.svd(scaled, full_matrices=False)
-        evals = svals[:d] * svals[:d]
-        vt = vt[:d]
-    return mean, evals, orient_rows(vt) / sqrt_w[None, :]
 
 
 def tangent_basis(cov: np.ndarray, d: int, x: GridFunction, mean: GridFunction,
@@ -177,7 +145,8 @@ def frame_at(x_values: np.ndarray, values: np.ndarray, grid: Grid, h_pca: float,
         raise InsufficientNeighborhood(
             f"only {members.size} curves within radius {h:g} after widening"
         )
-    mean, evals, basis = _top_eigenpairs(values[members], grid.quad_weights, d)
+    mean, evals, basis = weighted_pca(values[members], grid.quad_weights, d)
+    _require_rank(evals, d)
     return mean, evals, basis, members.size, h
 
 

@@ -5,6 +5,7 @@ from frem import datagen
 from frem.baselines import (
     FnwModel,
     flr_fit,
+    flr_fit_values,
     flr_predict,
     flr_predict_values,
     fnw_fit,
@@ -168,6 +169,16 @@ def test_flr_residuals_orthogonal_to_scores():
     resid = y - preds
     assert np.allclose(model.scores.T @ resid, 0.0, atol=1e-8)
     assert resid.sum() == pytest.approx(0.0, abs=1e-8)
+
+
+@pytest.mark.filterwarnings("error")
+def test_flr_small_sample_selects_supported_rank():
+    # n = 40 < G puts the FPCA on the n x n Gram side; components past the
+    # rank of 3 make its spectrum too spread, so they go through the SVD
+    values, scores, _ = _three_component_sample(n=40, seed=8)
+    responses = scores @ np.array([1.0, -0.5, 0.25])
+    model = flr_fit_values(GRID, values, responses, p_candidates=range(11))
+    assert model.p == 3
 
 
 def test_flr_eigenfunctions_orthonormal():

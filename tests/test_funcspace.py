@@ -1,6 +1,10 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+from frem import datagen
 from frem.errors import GridMismatch, InvalidSettings
 from frem.funcspace import (
     Grid,
@@ -12,6 +16,7 @@ from frem.funcspace import (
     pairwise_l2,
     stack_values,
     weighted_eigh,
+    weighted_pca,
 )
 
 
@@ -137,6 +142,36 @@ def test_weighted_eigh_orthonormal():
     assert np.all(np.diff(evals[:3]) <= 1e-12)
     gram = (basis * grid.quad_weights) @ basis.T
     assert np.allclose(gram, np.eye(3), atol=1e-8)
+
+
+# weighted_pca eigendecomposes S S^T when n < G (an SVD instead when the
+# third eigenvalue is below 1e-6 of the first) and S^T S when n >= G
+@pytest.mark.parametrize("n, near_degenerate", [(40, False), (40, True), (60, False), (90, False)],
+                         ids=["gram", "svd", "n-eq-g", "n-gt-g"])
+def test_weighted_pca_matches_svd_of_scaled_rows(n, near_degenerate):
+    grid = Grid.regular(0.0, 1.0, 60)
+    rng = np.random.default_rng(6)
+    if near_degenerate:
+        coefs = rng.uniform(-1.0, 1.0, size=(n, 3)) * np.array([1.0, 0.5, 1e-4])
+        values = coefs @ datagen.fourier_basis(grid.points, 3)
+    else:
+        values = rng.standard_normal((n, 60))
+    mean, evals, basis = weighted_pca(values, grid.quad_weights, 3)
+    sqrt_w = np.sqrt(grid.quad_weights)
+    _, svals, vt = np.linalg.svd((values - values.mean(axis=0)) * sqrt_w / np.sqrt(n),
+                                 full_matrices=False)
+    assert np.allclose(mean, values.mean(axis=0), rtol=0.0, atol=1e-14)
+    assert np.allclose(evals, svals[:3] ** 2, rtol=1e-10, atol=0.0)
+    assert np.allclose(basis, orient_rows(vt[:3]) / sqrt_w, rtol=0.0, atol=1e-10)
+    if near_degenerate:
+        assert evals[2] / evals[0] == pytest.approx(1e-8, rel=0.5)
+
+
+def test_import_does_not_load_scipy():
+    # scipy is a test extra only; importing it would also add to start-up time
+    code = "import sys, frem; assert not [m for m in sys.modules if m.split('.')[0] == 'scipy']"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True)
+    assert proc.returncode == 0, proc.stderr.decode()
 
 
 def test_orient_rows_matches_row_loop():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from frem.errors import EmptyObservations, InvalidSettings
+from frem.errors import AllFoldsFailed, EmptyObservations, InvalidSettings
 from frem.funcspace import Grid, GridFunction, l2_distance
 from frem.recovery import (
     DiscreteObservations,
@@ -139,6 +139,24 @@ def test_batched_paths_match_per_curve():
     hs = cv_bandwidths_shared(t, values, cands)
     for i, o in enumerate(obs):
         assert hs[i] == cv_bandwidth(o, cands)
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e160])
+def test_no_finite_loo_error_raises(scale):
+    # squared errors overflow for every candidate: a typed error from the
+    # per-curve and the batched path, not a leftover bandwidth or a warning
+    t = np.linspace(0.0, 1.0, 50)
+    huge = DiscreteObservations(t, scale * np.sin(6.0 * t))
+    tame = DiscreteObservations(t, np.sin(6.0 * t))
+    cands = bandwidth_candidates(50, 2.0, 1.0)
+    with pytest.raises(AllFoldsFailed, match="curve 0"):
+        cv_bandwidth(huge, cands)
+    with pytest.raises(AllFoldsFailed, match="curve 1"):
+        cv_bandwidths_shared(t, np.array([tame.values, huge.values]), cands)
+    other_design = DiscreteObservations(t ** 2, tame.values)
+    for records in ([tame, huge], [other_design, huge]):
+        with pytest.raises(AllFoldsFailed):
+            smooth_all(records, GRID)
 
 
 @pytest.mark.parametrize("bad", [[np.nan], [np.inf], [0.05, np.inf], [], [0.0, 0.1], [-0.1]],
