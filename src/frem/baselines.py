@@ -17,6 +17,7 @@ from .funcspace import (
     kernel_eval,
     l2_distances_to,
     pairwise_l2,
+    pairwise_l2_rows,
     positive_bandwidths,
     stack_values,
     weighted_pca,
@@ -91,44 +92,40 @@ def fnw_fit(curves, responses, h_candidates=None, n_folds: int = 10,
 
 def fnw_fit_values(grid: Grid, values: np.ndarray, responses: np.ndarray,
                    h_candidates=None, n_folds: int = 10, seed: int = 0) -> FnwModel:
+    """fnw_fit on a value matrix; each fold's distance block scores every candidate."""
     from .estimator import grids_from_values
 
+    w = grid.quad_weights
     if h_candidates is None:
-        h_candidates = grids_from_values(values, grid.quad_weights)[0]
+        h_candidates = grids_from_values(values, w)[0]
     cands = positive_bandwidths(h_candidates, "bandwidth candidates")
     n = values.shape[0]
     folds = cv_folds(n, n_folds, seed)
-    dmat = pairwise_l2(values, values, grid.quad_weights)
 
-    def cv_error(h):
-        err = 0.0
+    def best_of(hs):
+        errs = np.zeros(hs.size)  # summed in fold order; inf after an empty window
         for fold in folds:
             mask = np.ones(n, dtype=bool)
             mask[fold] = False
-            # kmat outlives the call so that the previous fold's matrix is
-            # freed only once the next exists; freed earlier, the allocator
-            # hands the heap top back and every fold faults it in again
-            kmat = kernel_eval(dmat[np.ix_(fold, mask)] / h)
-            try:
-                preds = _kernel_mean(kmat, responses[mask])
-            except EmptyWindow:
-                return None
-            err += float(np.sum((preds - responses[fold]) ** 2))
-        return err
-
-    best_h, best_err = None, np.inf
-    for h in cands:
-        err = cv_error(float(h))
-        if err is not None and improves(err, best_err):
-            best_h, best_err = float(h), err
-    if best_h is None:
-        # every quantile candidate left a window empty; extend upward until
-        # the whole sample is covered
-        dmax = float(dmat.max())
-        for h in np.geomspace(cands[-1], 1.05 * dmax, 6)[1:]:
-            err = cv_error(float(h))
-            if err is not None and improves(err, best_err):
+            block, train_y = pairwise_l2(values[fold], values[mask], w), responses[mask]
+            for c in np.flatnonzero(errs < np.inf):
+                try:
+                    preds = _kernel_mean(kernel_eval(block / hs[c]), train_y)
+                except EmptyWindow:
+                    errs[c] = np.inf
+                    continue
+                errs[c] += float(np.sum((preds - responses[fold]) ** 2))
+        best_h, best_err = None, np.inf
+        for h, err in zip(hs, errs):
+            if improves(err, best_err):
                 best_h, best_err = float(h), err
+        return best_h
+
+    best_h = best_of(cands)
+    if best_h is None:
+        # every quantile candidate left a window empty: extend up to the sample's span
+        dmax = max(float(block.max()) for _, block in pairwise_l2_rows(values, w))
+        best_h = best_of(np.geomspace(cands[-1], 1.05 * dmax, 6)[1:])
     if best_h is None:
         raise EmptyWindow("every candidate bandwidth left some validation point empty")
     return FnwModel.from_values(grid, values, responses, best_h)

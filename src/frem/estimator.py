@@ -32,6 +32,7 @@ from .funcspace import (
     kernel_eval,
     l2_distances_to,
     pairwise_l2,
+    pairwise_l2_rows,
     positive_bandwidths,
     stack_values,
     widened_ball,
@@ -57,7 +58,7 @@ class FitDiagnostics:
 class FremModel:
     """Fitted state: training curves, responses, dimension, and bandwidths."""
 
-    __slots__ = ("grid", "values", "responses", "dim", "h_pca", "h_reg", "_curves")
+    __slots__ = ("grid", "values", "weighted_values", "responses", "dim", "h_pca", "h_reg", "_curves")
 
     def __init__(self, curves, responses, dim: DimEstimate, h_pca: float, h_reg: float):
         if isinstance(curves, np.ndarray):
@@ -82,6 +83,7 @@ class FremModel:
         positive_bandwidths([h_pca, h_reg], "bandwidths")
         self.grid = grid
         self.values = values
+        self.weighted_values = values * grid.quad_weights
         self.responses = responses
         self.dim = dim
         self.h_pca = float(h_pca)
@@ -247,9 +249,8 @@ def _weighted_fit(model: FremModel, x_values: np.ndarray, dists: np.ndarray,
     window = _reg_windows(dists, [model.h_reg], d)[0]
     if isinstance(window, FremError):
         raise window
-    w = model.grid.quad_weights
-    coords = (model.values * w) @ basis.T
-    cx = (x_values * w) @ basis.T
+    coords = model.weighted_values @ basis.T
+    cx = (x_values * model.grid.quad_weights) @ basis.T
     ghat, cond, ridged = _stacked_wls(coords[None], cx[None], model.responses, [window])
     return float(ghat[0, 0]), FitDiagnostics(int(window[0].size), float(cond[0, 0]),
                                              bool(ridged[0, 0]))
@@ -299,16 +300,19 @@ def default_candidate_grids(curves):
 
 def grids_from_values(values: np.ndarray, quad_weights: np.ndarray,
                       n_candidates: int = 8):
-    if values.shape[0] < 2:
+    """default_candidate_grids on a value matrix, from row blocks: no n x n matrix."""
+    n = values.shape[0]
+    if n < 2:
         raise InvalidSettings("need at least two curves to calibrate bandwidths")
-    dmat = pairwise_l2(values, values, quad_weights)
-    iu = np.triu_indices(values.shape[0], k=1)
-    dists = dmat[iu]
-    positive = dists[dists > 0]
-    if positive.size == 0:
-        raise InvalidSettings("all training curves coincide; bandwidths undefined")
-    lo, hi = np.percentile(dists, [5.0, 50.0])
+    dists = np.empty(n * (n - 1) // 2)
+    for start, block in pairwise_l2_rows(values, quad_weights):
+        for i, row in enumerate(block, start):  # row i starts after sum_{r<i} (n-1-r)
+            dists[i * (2 * n - i - 1) // 2:][:n - 1 - i] = row[i + 1:]
+    lo, hi = np.percentile(dists, [5.0, 50.0], overwrite_input=True)
     if lo <= 0:
+        positive = dists[dists > 0]
+        if positive.size == 0:
+            raise InvalidSettings("all training curves coincide; bandwidths undefined")
         lo = float(positive.min())
     if hi <= lo:
         hi = lo * 4.0

@@ -16,10 +16,10 @@ import numpy as np
 
 from .errors import GridMismatch, InvalidSettings
 
-#: Radius of the kernel's support: K(u) = 0 for |u| > 1.
-KERNEL_SUPPORT = 1.0
-
 _REGULAR_RTOL = 1e-12
+
+#: Rows per block of pairwise_l2_rows (a multiple of 48, see there).
+ROW_BLOCK = 144
 
 
 class Grid:
@@ -142,10 +142,11 @@ def kernel_eval(u):
     Accepts scalars or arrays; symmetric, nonnegative, integrates to one.
     """
     u = np.asarray(u, dtype=float)
-    out = np.where(np.abs(u) <= KERNEL_SUPPORT, 0.75 * (1.0 - u * u), 0.0)
-    if out.ndim == 0:
-        return float(out)
-    return out
+    out = np.multiply(u, u, out=np.empty(u.shape))  # |u| > 1 and NaN end at 0 by fmax
+    np.subtract(1.0, out, out=out)
+    out *= 0.75
+    np.fmax(out, 0.0, out=out)
+    return float(out) if out.ndim == 0 else out
 
 
 # ---------------------------------------------------------------------------
@@ -182,12 +183,27 @@ def sq_norms(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
 def pairwise_l2(a: np.ndarray, b: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Matrix of L2 distances between rows of a and rows of b.
 
-    Uses the Gram expansion ||f - g||^2 = ||f||^2 + ||g||^2 - 2 <f, g>;
-    tiny negative values from cancellation are clipped to zero.
+    Uses the Gram expansion ||f - g||^2 = ||f||^2 + ||g||^2 - 2 <f, g>, in
+    place; tiny negative values from cancellation are clipped to zero. Not
+    exactly symmetric, and an entry's last bit can depend on the operands'
+    shapes (see pairwise_l2_rows).
     """
+    inner = batch_inner(a, b, weights)
+    inner *= 2.0
     sq = sq_norms(a, weights)[:, None] + sq_norms(b, weights)[None, :]
-    sq = sq - 2.0 * batch_inner(a, b, weights)
-    return np.sqrt(np.clip(sq, 0.0, None))
+    np.subtract(sq, inner, out=sq)
+    return np.sqrt(np.clip(sq, 0.0, None, out=sq), out=sq)
+
+
+def pairwise_l2_rows(values: np.ndarray, weights: np.ndarray):
+    """Yield (start, pairwise_l2(values[start:stop], values, weights)) over row
+    blocks, so no n x n matrix is held. Blocks start on multiples of ROW_BLOCK
+    and the last takes the rest: with one-thread OpenBLAS (SkylakeX kernels)
+    every entry then rounds as in the full n x n product."""
+    n = values.shape[0]
+    edges = [i * ROW_BLOCK for i in range(max(1, n // ROW_BLOCK))] + [n]
+    for start, stop in zip(edges[:-1], edges[1:]):
+        yield start, pairwise_l2(values[start:stop], values, weights)
 
 
 def l2_distances_to(values: np.ndarray, point: np.ndarray, weights: np.ndarray) -> np.ndarray:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,8 @@ from frem.baselines import (
     fnw_predict_values,
 )
 from frem.errors import EmptyWindow, GridMismatch, InvalidSettings
-from frem.funcspace import Grid, GridFunction, l2_distances_to
+from frem.estimator import grids_from_values
+from frem.funcspace import Grid, GridFunction, cv_folds, improves, l2_distances_to, pairwise_l2
 
 GRID = Grid.regular(0.0, 1.0, 100)
 
@@ -112,6 +115,86 @@ def test_batched_predictions_match_per_curve():
     dists[3] = 2.0 * fnw.bandwidth
     with pytest.raises(EmptyWindow):
         fnw_predict_values(fnw, dists)
+
+
+def _reference_fnw_bandwidth(values, y, cands, n_folds=10, seed=0):
+    """FNW bandwidth by the candidates-outside, folds-inside loop over the whole
+    n x n distance matrix, with the np.where kernel; also returns which
+    candidates left a window empty and whether the upward extension ran."""
+    n = values.shape[0]
+    dmat = pairwise_l2(values, values, GRID.quad_weights)
+    folds = cv_folds(n, n_folds, seed)
+
+    def cv_error(h):
+        err = 0.0
+        for fold in folds:
+            mask = np.ones(n, dtype=bool)
+            mask[fold] = False
+            u = dmat[np.ix_(fold, mask)] / h
+            kmat = np.where(np.abs(u) <= 1.0, 0.75 * (1.0 - u * u), 0.0)
+            totals = kmat.sum(axis=1)
+            if np.any(totals <= 0):
+                return None
+            err += float(np.sum((kmat @ y[mask] / totals - y[fold]) ** 2))
+        return err
+
+    empty = []
+
+    def best(hs):
+        best_h, best_err = None, np.inf
+        for h in hs:
+            err = cv_error(float(h))
+            empty.append(err is None)
+            if err is not None and improves(err, best_err):
+                best_h, best_err = float(h), err
+        return best_h
+
+    best_h = best(np.sort(cands))
+    extended = best_h is None
+    if extended:
+        best_h = best(np.geomspace(np.max(cands), 1.05 * dmat.max(), 6)[1:])
+    return best_h, empty, extended
+
+
+def _fnw_sample(n, seed):
+    values, scores, _ = _three_component_sample(n, seed=seed)
+    y = np.sin(2.0 * scores[:, 0]) + scores[:, 1] ** 2
+    y += 0.1 * np.random.default_rng(seed + 1).standard_normal(n)
+    return values, y
+
+
+def test_fnw_fit_matches_reference_loop_with_empty_windows():
+    values, y = _fnw_sample(61, seed=30)
+    dmat = pairwise_l2(values, values, GRID.quad_weights)
+    cands = np.quantile(dmat[np.triu_indices(61, k=1)], [0.002, 0.02, 0.05, 0.1, 0.2, 0.4])
+    want, empty, extended = _reference_fnw_bandwidth(values, y, cands, seed=3)
+    assert any(empty) and not all(empty) and not extended
+    assert fnw_fit_values(GRID, values, y, cands, seed=3).bandwidth == want
+
+
+def test_fnw_fit_matches_reference_loop_when_extending_upward():
+    values, y = _fnw_sample(45, seed=31)
+    cands = [1e-4, 2e-4]
+    want, empty, extended = _reference_fnw_bandwidth(values, y, cands, seed=4)
+    assert extended and empty[:2] == [True, True] and want is not None
+    model = fnw_fit_values(GRID, values, y, cands, seed=4)
+    assert model.bandwidth == want > 2e-4
+
+
+def test_distance_work_holds_no_n_by_n_matrix():
+    n = 1500
+    rng = np.random.default_rng(32)
+    values = rng.standard_normal((n, len(GRID))).cumsum(axis=1)
+    y = rng.standard_normal(n)
+    for run in (lambda: grids_from_values(values, GRID.quad_weights),
+                lambda: fnw_fit_values(GRID, values, y)):
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n * 8
 
 
 # -- functional linear regression --------------------------------------------

@@ -20,7 +20,14 @@ from frem.estimator import (
     predict,
     select_bandwidths,
 )
-from frem.funcspace import Grid, GridFunction, kernel_eval, l2_distance, pairwise_l2
+from frem.funcspace import (
+    ROW_BLOCK,
+    Grid,
+    GridFunction,
+    kernel_eval,
+    l2_distance,
+    pairwise_l2,
+)
 from frem.intrinsic_dim import DimEstimate
 from frem.recovery import DiscreteObservations
 from frem.tangent import TangentFrame, build_frame, frame_at
@@ -249,6 +256,49 @@ def test_selected_h_reg_interior_on_klein():
         if hr[0] < h_reg < hr[-1]:
             interior += 1
     assert interior >= 0.7 * runs
+
+
+def _full_matrix_grids(values, n_candidates=8):
+    """The bandwidth grid read off the whole n x n distance matrix."""
+    dmat = pairwise_l2(values, values, GRID.quad_weights)
+    dists = dmat[np.triu_indices(values.shape[0], k=1)]
+    lo, hi = np.percentile(dists, [5.0, 50.0])
+    if lo <= 0:
+        lo = float(dists[dists > 0].min())
+    if hi <= lo:
+        hi = lo * 4.0
+    return lo, hi, np.geomspace(lo, hi, n_candidates)
+
+
+@pytest.mark.parametrize("n", [2, 3, ROW_BLOCK + 1, 3 * ROW_BLOCK + 61])
+@pytest.mark.parametrize("duplicates", [False, True])
+def test_grids_from_values_equal_the_full_matrix_bit_for_bit(n, duplicates, one_blas_thread):
+    values = np.random.default_rng(n).standard_normal((n, len(GRID))).cumsum(axis=1)
+    if duplicates:
+        values[: max(1, n // 3)] = 0.0     # exact zero distances push the 5th percentile to 0
+    lo, _, want = _full_matrix_grids(values)
+    hp, hr = grids_from_values(values, GRID.quad_weights)
+    assert hp.tobytes() == want.tobytes() and hr.tobytes() == want.tobytes()
+    if duplicates and n > 3:
+        dmat = pairwise_l2(values, values, GRID.quad_weights)
+        assert np.percentile(dmat[np.triu_indices(n, k=1)], 5.0) == 0.0 < lo
+
+
+def test_grids_from_values_refuses_coincident_curves():
+    with pytest.raises(InvalidSettings, match="coincide"):
+        grids_from_values(np.zeros((ROW_BLOCK + 5, len(GRID))), GRID.quad_weights)
+    with pytest.raises(InvalidSettings):
+        grids_from_values(np.zeros((1, len(GRID))), GRID.quad_weights)
+
+
+def test_weighted_values_set_by_every_constructor(tmp_path):
+    model, curves, _, _ = _patch_model(30, seed=16)
+    path = tmp_path / "model.json"
+    model.save(path)
+    built = [model, FremModel(curves, model.responses, model.dim, model.h_pca, model.h_reg),
+             FremModel.load(path)]
+    for m in built:
+        assert m.weighted_values.tobytes() == (m.values * GRID.quad_weights).tobytes()
 
 
 def test_model_save_load_roundtrip(tmp_path):

@@ -12,8 +12,12 @@ from frem.funcspace import (
     inner_product,
     kernel_eval,
     l2_distance,
+    ROW_BLOCK,
+    batch_inner,
     orient_rows,
     pairwise_l2,
+    pairwise_l2_rows,
+    sq_norms,
     stack_values,
     weighted_eigh,
     weighted_pca,
@@ -97,6 +101,63 @@ def test_kernel_symmetry():
     rng = np.random.default_rng(0)
     u = rng.uniform(-2.0, 2.0, 1000)
     assert np.array_equal(kernel_eval(u), kernel_eval(-u))
+
+
+_KERNEL_POINTS = np.array([0.0, 0.5, -0.5, 1.0, -1.0, np.nextafter(1.0, 2.0),
+                           -np.nextafter(1.0, 2.0), 1e200, np.inf, -np.inf, np.nan])
+
+
+def _where_kernel(u):
+    return np.where(np.abs(u) <= 1.0, 0.75 * (1.0 - u * u), 0.0)
+
+
+def test_kernel_eval_matches_where_form_bit_for_bit():
+    rng = np.random.default_rng(7)
+    u = np.concatenate([_KERNEL_POINTS, rng.uniform(-1.5, 1.5, 500)])
+    # 1e200 squared overflows to inf in both forms
+    with np.errstate(over="ignore"):
+        got, want = kernel_eval(u), _where_kernel(u)
+        got_2d = kernel_eval(u.reshape(1, -1))
+        scalars = [(kernel_eval(x), float(_where_kernel(x))) for x in _KERNEL_POINTS]
+    assert got.tobytes() == want.tobytes() == got_2d.tobytes()
+    for got_x, want_x in scalars:
+        assert type(got_x) is float
+        assert np.array(got_x).tobytes() == np.array(want_x).tobytes()
+
+
+def test_kernel_eval_leaves_its_input_alone():
+    u = np.linspace(-2.0, 2.0, 41)
+    before = u.copy()
+    kernel_eval(u)
+    assert np.array_equal(u, before)
+
+
+def _gram_reference(a, b, w):
+    sq = sq_norms(a, w)[:, None] + sq_norms(b, w)[None, :]
+    sq = sq - 2.0 * batch_inner(a, b, w)
+    return np.sqrt(np.clip(sq, 0.0, None))
+
+
+def test_pairwise_l2_matches_gram_expression_bit_for_bit():
+    grid = Grid.regular(0.0, 1.0, 90)
+    rng = np.random.default_rng(8)
+    a = rng.standard_normal((37, 90)).cumsum(axis=1)
+    b = np.vstack([a[:5], rng.standard_normal((20, 90))])   # includes zero distances
+    for x, y in ((a, b), (b, a), (a, a), (a[:1], b)):
+        assert pairwise_l2(x, y, grid.quad_weights).tobytes() == \
+            _gram_reference(x, y, grid.quad_weights).tobytes()
+
+
+@pytest.mark.parametrize("n", [2, 3, ROW_BLOCK + 1, 2 * ROW_BLOCK + 37])
+def test_row_blocks_equal_the_full_matrix_bit_for_bit(n, one_blas_thread):
+    grid = Grid.regular(0.0, 1.0, 70)
+    values = np.random.default_rng(n).standard_normal((n, 70)).cumsum(axis=1)
+    full = pairwise_l2(values, values, grid.quad_weights)
+    blocks = list(pairwise_l2_rows(values, grid.quad_weights))
+    assert [start for start, _ in blocks] == list(range(0, max(1, n // ROW_BLOCK) * ROW_BLOCK,
+                                                          ROW_BLOCK))
+    assert all(block.shape[0] >= min(n, ROW_BLOCK) for _, block in blocks)
+    assert np.vstack([block for _, block in blocks]).tobytes() == full.tobytes()
 
 
 def test_inner_product_symmetric_bilinear():
